@@ -361,8 +361,17 @@ let tests =
     Test.make ~name:"e10/mwabd-workload"
       (Staged.stage (fun () ->
            ignore
-             (Core.Abd_runs.execute_mw ~n:3 ~writers:[ 0; 1 ] ~writes_each:2
-                ~readers:[ 2 ] ~reads_each:2 ~seed:11L ())));
+             (Core.Abd_runs.execute_config
+                {
+                  Core.Abd_runs.Config.default with
+                  proto = Core.Abd_runs.Config.Mw;
+                  n = 3;
+                  writers = [ 0; 1 ];
+                  writes_each = 2;
+                  readers = [ 2 ];
+                  reads_each = 2;
+                  seed = 11L;
+                })));
     Test.make ~name:"e10/mwabd-tree-refutation"
       (Staged.stage (fun () -> ignore (Core.Mwabd_scenario.run ())));
     (* --- E11: the same ABD workload under a lossy, duplicating link -------- *)

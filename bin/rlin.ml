@@ -460,11 +460,23 @@ let consensus_cmd =
 
 (* ----- mwabd ------------------------------------------------------------------ *)
 
+(* the two-writer demo run `rlin mwabd` and `rlin trace --source mwabd` show *)
+let mwabd_config seed =
+  {
+    Core.Abd_runs.Config.default with
+    proto = Core.Abd_runs.Config.Mw;
+    n = 3;
+    writers = [ 0; 1 ];
+    writes_each = 2;
+    readers = [ 2 ];
+    reads_each = 3;
+    seed;
+  }
+
 let mwabd_cmd =
   let run seed =
     let run =
-      Core.Abd_runs.execute_mw ~n:3 ~writers:[ 0; 1 ] ~writes_each:2
-        ~readers:[ 2 ] ~reads_each:3 ~seed ()
+      Core.Abd_runs.execute_config (mwabd_config seed)
     in
     print_string (Core.Timeline.render run.Core.Abd_runs.history);
     Printf.printf "linearizable: %b
@@ -1043,8 +1055,7 @@ let trace_cmd =
                    { Core.Abd_runs.default with seed })
                   .Core.Abd_runs.trace
             | `Mwabd ->
-                (Core.Abd_runs.execute_mw ~tracer ~n:3 ~writers:[ 0; 1 ]
-                   ~writes_each:2 ~readers:[ 2 ] ~reads_each:3 ~seed ())
+                (Core.Abd_runs.execute_config ~tracer (mwabd_config seed))
                   .Core.Abd_runs.trace
           in
           Core.Tracer.set_sink tracer None;

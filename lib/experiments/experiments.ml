@@ -454,10 +454,18 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
         Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
             let seed = i + 1 in
             let run =
-              Core.Abd_runs.execute_mw ~metrics ~faults ~n:3 ~writers:[ 0; 1 ]
-                ~writes_each:2 ~readers:[ 2 ] ~reads_each:3
-                ~seed:(Int64.of_int (seed * 53))
-                ()
+              Core.Abd_runs.execute_config ~metrics
+                {
+                  Core.Abd_runs.Config.default with
+                  proto = Core.Abd_runs.Config.Mw;
+                  faults;
+                  n = 3;
+                  writers = [ 0; 1 ];
+                  writes_each = 2;
+                  readers = [ 2 ];
+                  reads_each = 3;
+                  seed = Int64.of_int (seed * 53);
+                }
             in
             if
               run.Core.Abd_runs.completed
@@ -554,11 +562,18 @@ let e11_faults ?(jobs = 1) ~quick () =
                   else begin
                     let k = i - runs in
                     let run =
-                      Core.Abd_runs.execute_mw ~metrics ~faults:plan ~n:5
-                        ~writers:[ 0; 1 ] ~writes_each:2 ~readers:[ 2 ]
-                        ~reads_each:2
-                        ~seed:(Int64.of_int (((k + 1) * 67) + crashes))
-                        ()
+                      Core.Abd_runs.execute_config ~metrics
+                        {
+                          Core.Abd_runs.Config.default with
+                          proto = Core.Abd_runs.Config.Mw;
+                          faults = plan;
+                          n = 5;
+                          writers = [ 0; 1 ];
+                          writes_each = 2;
+                          readers = [ 2 ];
+                          reads_each = 2;
+                          seed = Int64.of_int (((k + 1) * 67) + crashes);
+                        }
                     in
                     let lin =
                       run.Core.Abd_runs.completed

@@ -5,8 +5,7 @@ module Rng = Simkit.Rng
 module Faults = Simkit.Faults
 module Pool = Simkit.Pool
 module Net = Msgpass.Net
-module Abd = Msgpass.Abd
-module Mwabd = Msgpass.Mwabd
+module Quorum = Msgpass.Quorum
 
 (* The fleet-scale workload engine (DESIGN.md §17): a key-space of
    register shards, each an independent ABD / MW-ABD group with its own
@@ -116,7 +115,6 @@ let ops_per_shard c =
 
 let golden = 0x9E3779B97F4A7C15L
 let shard_seed ~seed i = Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden)
-let fault_seed s = Int64.logxor s 0xFA17FA17L
 
 (* ----- results ---------------------------------------------------------------- *)
 
@@ -200,170 +198,140 @@ let run_shard ~metrics (c : config) ~index ~ops =
             | _ -> ())
           entries
   in
-  let fpolicy =
-    if Faults.is_benign c.faults then None
-    else Some (Faults.create ~seed:(fault_seed seed) c.faults)
+  let reg =
+    Quorum.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
+      ~discipline:
+        (match c.proto with
+        | Sw -> Quorum.Single_writer 0
+        | Mw -> Quorum.Multi_writer)
+      ~init:0 ()
   in
-  (* generic over the register's message type, like Runs.execute_config *)
-  let drive net ~crash ~recover ~write ~read =
-    Option.iter (Net.set_faults net) fpolicy;
-    Net.set_batching net ~window:c.batch_window ~max:c.batch_max;
-    (* slot layout: Sw's writer client is node 0's fiber (Abd.write must
-       run there); every other slot lives above the node range so a
-       crash_at node never takes a client slot down with it *)
-    let slot_pid = function
-      | 0 when c.proto = Sw -> 0
-      | s -> c.n + (if c.proto = Sw then s - 1 else s)
-    in
-    (* exact per-slot quotas, fixed up front: Sw sends every write
-       through slot 0; Mw deals writes round-robin.  Reads fill the
-       remaining capacity round-robin from the last slot backwards, so
-       read load spreads even when writes saturate the first slots. *)
-    let writes =
-      let w = int_of_float (Float.round (c.write_ratio *. float_of_int ops)) in
-      max 0 (min ops w)
-    in
-    let w_left = Array.make c.slots 0 and r_left = Array.make c.slots 0 in
-    (match c.proto with
-    | Sw -> w_left.(0) <- writes
-    | Mw ->
-        for i = 0 to writes - 1 do
-          let s = i mod c.slots in
-          w_left.(s) <- w_left.(s) + 1
-        done);
-    for i = 0 to ops - writes - 1 do
-      let s = c.slots - 1 - (i mod c.slots) in
-      r_left.(s) <- r_left.(s) + 1
-    done;
-    let remaining = Array.init c.slots (fun s -> w_left.(s) + r_left.(s)) in
-    (* per-slot op-order RNG (Mw mix): draws happen only in the slot's
-       own fiber, so the stream depends on the slot, not the schedule *)
-    let slot_rng =
-      Array.init c.slots (fun s ->
-          Rng.split
-            (Rng.create (Int64.add seed (Int64.mul (Int64.of_int (s + 1)) golden))))
-    in
-    (* write values cycle through a domain smaller than the segmenter's
-       values_cap (64): after an op-cap segment the entry set is the
-       domain plus the initial value, still materializable, so one
-       Unknown segment never degrades the segments after it *)
-    let value_domain = 48 in
-    let next_value = ref 0 in
-    let next_op slot =
-      let w = w_left.(slot) > 0 and r = r_left.(slot) > 0 in
-      let is_write =
-        match c.proto with
-        | Sw -> w (* writes first; slot 0 may carry reads after them *)
-        | Mw -> if w && r then Rng.float slot_rng.(slot) < c.write_ratio else w
-      in
-      if is_write then begin
-        w_left.(slot) <- w_left.(slot) - 1;
-        incr next_value;
-        write (slot_pid slot) (1 + ((!next_value - 1) mod value_domain))
-      end
-      else begin
-        r_left.(slot) <- r_left.(slot) - 1;
-        read (slot_pid slot)
-      end
-    in
-    (* the generational pool: each session is one occupant of a slot; on
-       normal termination it queues its slot for recycling and the policy
-       installs the next session in place — no scheduler growth *)
-    let finished = Queue.create () in
-    let sessions = ref 0 in
-    let live = ref 0 in
-    let session slot k () =
-      for _ = 1 to k do
-        next_op slot
-      done;
-      incr sessions;
-      Queue.push slot finished
-    in
-    let start_session ~via slot =
-      let k = min c.session_len remaining.(slot) in
-      remaining.(slot) <- remaining.(slot) - k;
-      via (slot_pid slot) (session slot k)
-    in
-    for slot = 0 to c.slots - 1 do
-      if remaining.(slot) > 0 then begin
-        incr live;
-        start_session ~via:(fun pid f -> Sched.spawn sched ~pid f) slot
-      end
-    done;
-    let rng = Rng.create (Int64.logxor seed 0x7E57AB1EL) in
-    let rand_pol = Sched.random_policy rng in
-    let decisions = ref 0 in
-    let base s =
-      incr decisions;
-      while not (Queue.is_empty finished) do
-        let slot = Queue.pop finished in
-        if remaining.(slot) > 0 then
-          start_session ~via:(fun pid f -> Sched.recycle sched ~pid f) slot
-        else decr live
-      done;
-      (match fpolicy with
-      | Some f ->
-          let step = Sched.steps sched in
-          List.iter crash (Faults.crashes_due f ~step);
-          List.iter recover (Faults.recoveries_due f ~step)
-      | None -> ());
-      if !decisions mod c.drain_every = 0 then
-        feed (Trace.drain (Sched.trace sched));
-      if !live = 0 then Sched.Halt else rand_pol s
-    in
-    let policy = Net.auto_deliver_policy net ~rng base in
-    let max_steps =
-      (ops * c.n * 800) + (2_000 * List.length c.faults.Faults.recover_at)
-    in
-    let stalled = ref false in
-    let steps =
-      try Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps
-      with Sched.Stalled _ ->
-        stalled := true;
-        Sched.steps sched
-    in
-    feed (Trace.drain (Sched.trace sched));
-    note (Option.bind seg Serve.Segmenter.flush);
-    let counter = Obs.Metrics.counter metrics in
-    {
-      index;
-      shard_ops = counter "trace.responds";
-      sessions = !sessions;
-      steps;
-      completed = !live = 0;
-      stalled = !stalled;
-      sampled;
-      segments = !segments;
-      fails = !fails;
-      unknowns = !unknowns;
-      sends = counter "net.sends";
-      delivered = counter "net.delivered";
-      attempts = counter "net.delivery_attempts";
-      coalesced = counter "net.batch.coalesced";
-      recycles = counter "sched.recycles";
-    }
+  Net.set_batching (Quorum.net reg) ~window:c.batch_window ~max:c.batch_max;
+  (* slot layout: Sw's writer client is node 0's fiber (the single
+     writer); every other slot lives above the node range so a crash_at
+     node never takes a client slot down with it *)
+  let slot_pid = function
+    | 0 when c.proto = Sw -> 0
+    | s -> c.n + (if c.proto = Sw then s - 1 else s)
   in
-  match c.proto with
-  | Sw ->
-      let reg =
-        Abd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
-          ~writer:0 ~init:0 ()
-      in
-      drive (Abd.net reg)
-        ~crash:(fun node -> Abd.crash_node reg ~node)
-        ~recover:(fun node -> Abd.recover_node reg ~node)
-        ~write:(fun _pid v -> Abd.write reg v)
-        ~read:(fun pid -> ignore (Abd.read reg ~reader:pid))
+  (* exact per-slot quotas, fixed up front: Sw sends every write through
+     slot 0; Mw deals writes round-robin.  Reads fill the remaining
+     capacity round-robin from the last slot backwards, so read load
+     spreads even when writes saturate the first slots. *)
+  let writes =
+    let w = int_of_float (Float.round (c.write_ratio *. float_of_int ops)) in
+    max 0 (min ops w)
+  in
+  let w_left = Array.make c.slots 0 and r_left = Array.make c.slots 0 in
+  (match c.proto with
+  | Sw -> w_left.(0) <- writes
   | Mw ->
-      let reg =
-        Mwabd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
-          ~init:0 ()
-      in
-      drive (Mwabd.net reg)
-        ~crash:(fun node -> Mwabd.crash_node reg ~node)
-        ~recover:(fun node -> Mwabd.recover_node reg ~node)
-        ~write:(fun pid v -> Mwabd.write reg ~proc:pid v)
-        ~read:(fun pid -> ignore (Mwabd.read reg ~reader:pid))
+      for i = 0 to writes - 1 do
+        let s = i mod c.slots in
+        w_left.(s) <- w_left.(s) + 1
+      done);
+  for i = 0 to ops - writes - 1 do
+    let s = c.slots - 1 - (i mod c.slots) in
+    r_left.(s) <- r_left.(s) + 1
+  done;
+  let remaining = Array.init c.slots (fun s -> w_left.(s) + r_left.(s)) in
+  (* per-slot op-order RNG (Mw mix): draws happen only in the slot's own
+     fiber, so the stream depends on the slot, not the schedule *)
+  let slot_rng =
+    Array.init c.slots (fun s ->
+        Rng.split
+          (Rng.create (Int64.add seed (Int64.mul (Int64.of_int (s + 1)) golden))))
+  in
+  (* write values cycle through a domain smaller than the segmenter's
+     values_cap (64): after an op-cap segment the entry set is the domain
+     plus the initial value, still materializable, so one Unknown segment
+     never degrades the segments after it *)
+  let value_domain = 48 in
+  let next_value = ref 0 in
+  let next_op slot =
+    let w = w_left.(slot) > 0 and r = r_left.(slot) > 0 in
+    let is_write =
+      match c.proto with
+      | Sw -> w (* writes first; slot 0 may carry reads after them *)
+      | Mw -> if w && r then Rng.float slot_rng.(slot) < c.write_ratio else w
+    in
+    if is_write then begin
+      w_left.(slot) <- w_left.(slot) - 1;
+      incr next_value;
+      Quorum.write reg ~proc:(slot_pid slot)
+        (1 + ((!next_value - 1) mod value_domain))
+    end
+    else begin
+      r_left.(slot) <- r_left.(slot) - 1;
+      ignore (Quorum.read reg ~reader:(slot_pid slot))
+    end
+  in
+  (* the generational pool: each session is one occupant of a slot; on
+     normal termination it queues its slot for recycling and the next
+     decision installs the next session in place — no scheduler growth *)
+  let finished = Queue.create () in
+  let sessions = ref 0 in
+  let live = ref 0 in
+  let session slot k () =
+    for _ = 1 to k do
+      next_op slot
+    done;
+    incr sessions;
+    Queue.push slot finished
+  in
+  let start_session ~via slot =
+    let k = min c.session_len remaining.(slot) in
+    remaining.(slot) <- remaining.(slot) - k;
+    via (slot_pid slot) (session slot k)
+  in
+  for slot = 0 to c.slots - 1 do
+    if remaining.(slot) > 0 then begin
+      incr live;
+      start_session ~via:(fun pid f -> Sched.spawn sched ~pid f) slot
+    end
+  done;
+  let decisions = ref 0 in
+  let on_decision () =
+    incr decisions;
+    while not (Queue.is_empty finished) do
+      let slot = Queue.pop finished in
+      if remaining.(slot) > 0 then
+        start_session ~via:(fun pid f -> Sched.recycle sched ~pid f) slot
+      else decr live
+    done;
+    if !decisions mod c.drain_every = 0 then
+      feed (Trace.drain (Sched.trace sched))
+  in
+  let max_steps =
+    (ops * c.n * 800) + (2_000 * List.length c.faults.Faults.recover_at)
+  in
+  let steps, stall =
+    Msgpass.Runs.drive ~on_decision ~sched ~reg
+      ~rng:(Rng.create (Int64.logxor seed 0x7E57AB1EL))
+      ~faults:c.faults ~seed
+      ~finished:(fun () -> !live = 0)
+      ~max_steps ()
+  in
+  feed (Trace.drain (Sched.trace sched));
+  note (Option.bind seg Serve.Segmenter.flush);
+  let counter = Obs.Metrics.counter metrics in
+  {
+    index;
+    shard_ops = counter "trace.responds";
+    sessions = !sessions;
+    steps;
+    completed = !live = 0;
+    stalled = stall <> None;
+    sampled;
+    segments = !segments;
+    fails = !fails;
+    unknowns = !unknowns;
+    sends = counter "net.sends";
+    delivered = counter "net.delivered";
+    attempts = counter "net.delivery_attempts";
+    coalesced = counter "net.batch.coalesced";
+    recycles = counter "sched.recycles";
+  }
 
 (* ----- the fleet -------------------------------------------------------------- *)
 

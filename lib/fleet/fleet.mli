@@ -1,7 +1,8 @@
 (** The fleet-scale workload engine (DESIGN.md §17): a key-space of
     register shards — key → shard by hash, each shard an independent
-    {!Msgpass.Abd} / {!Msgpass.Mwabd} group with its own scheduler and
-    network — driven by a {e generational pool} of short-lived client
+    {!Msgpass.Quorum} register group (ABD or MW-ABD) with its own
+    scheduler and network, run by {!Msgpass.Runs.drive} — driven by a
+    {e generational pool} of short-lived client
     sessions that reuse a fixed set of fiber slots
     ({!Simkit.Sched.recycle}).
 
@@ -16,7 +17,9 @@
     ({!Simkit.Pool.map_runs}) and reports are byte-identical at any
     [jobs]. *)
 
-type proto = Sw | Mw  (** {!Msgpass.Abd} (one writer/shard) or {!Msgpass.Mwabd}. *)
+type proto = Sw | Mw
+    (** The register's timestamp discipline: {!Msgpass.Abd} (one
+        writer/shard) or {!Msgpass.Mwabd}. *)
 
 type config = {
   shards : int;  (** register groups, [>= 1] *)

@@ -92,9 +92,12 @@ let add t ~k1 ~k2 =
    Entries are immutable boxed pairs behind per-slot atomics: a slot CAS
    from [Empty] is the only mutation a live table ever sees, so readers
    can never observe a torn pair — false positives are structurally
-   impossible, which is what the memo's pruning soundness rests on. *)
+   impossible, which is what the memo's pruning soundness rests on.  A
+   rehash freezes each empty slot of the retiring table with a CAS to
+   [Moved], so an add either lands before the freeze (and is copied) or
+   fails its CAS and retries on the published table. *)
 module Sharded = struct
-  type entry = Empty | Pair of int * int
+  type entry = Empty | Pair of int * int | Moved
 
   type shard = {
     tab : entry Atomic.t array Atomic.t;
@@ -149,7 +152,7 @@ module Sharded = struct
       if steps > mask then false
       else
         match Atomic.get tab.(i) with
-        | Empty -> false
+        | Empty | Moved -> false
         | Pair (a, b) when a = k1 && b = k2 -> true
         | Pair _ -> probe ((i + 1) land mask) (steps + 1)
     in
@@ -157,25 +160,29 @@ module Sharded = struct
 
   (* Rehash [sh] into a table twice the size of [cur].  Under the shard
      lock; re-checks that [cur] is still current so two adders racing to
-     grow don't double it twice. *)
+     grow don't double it twice.  Each empty slot of [cur] is frozen to
+     [Moved] before the scan passes it: a pair CAS'd in first is copied,
+     and an adder arriving later fails its CAS and waits for the lock. *)
   let grow_shard t sh cur =
     Mutex.lock sh.lock;
     if Atomic.get sh.tab == cur then begin
       let cap = 2 * Array.length cur in
       let mask = cap - 1 in
       let tab = fresh_tab cap in
-      Array.iter
-        (fun slot ->
-          match Atomic.get slot with
-          | Empty -> ()
-          | Pair (a, b) as e ->
-              let rec place i =
-                match Atomic.get tab.(i) with
-                | Empty -> Atomic.set tab.(i) e
-                | Pair _ -> place ((i + 1) land mask)
-              in
-              place ((hash a b lsr t.shard_bits) land mask))
-        cur;
+      let rec copy slot =
+        match Atomic.get slot with
+        | Empty ->
+            if not (Atomic.compare_and_set slot Empty Moved) then copy slot
+        | Moved -> ()
+        | Pair (a, b) as e ->
+            let rec place i =
+              match Atomic.get tab.(i) with
+              | Empty -> Atomic.set tab.(i) e
+              | Pair _ | Moved -> place ((i + 1) land mask)
+            in
+            place ((hash a b lsr t.shard_bits) land mask)
+      in
+      Array.iter copy cur;
       Atomic.incr sh.grows;
       Atomic.set sh.tab tab
     end;
@@ -192,6 +199,7 @@ module Sharded = struct
         match Atomic.get tab.(i) with
         | Pair (a, b) when a = k1 && b = k2 -> `Present
         | Pair _ -> probe ((i + 1) land mask)
+        | Moved -> `Retired
         | Empty ->
             if Atomic.compare_and_set tab.(i) Empty (Pair (k1, k2)) then
               `Inserted
@@ -199,17 +207,17 @@ module Sharded = struct
       in
       match probe ((h lsr t.shard_bits) land mask) with
       | `Present -> ()
+      | `Retired ->
+          (* a rehash froze this table: once it releases the lock the
+             new table is published *)
+          Mutex.lock sh.lock;
+          Mutex.unlock sh.lock;
+          attempt ()
       | `Inserted ->
-          if Atomic.get sh.tab != tab then
-            (* A rehash raced us and may have copied the old table before
-               our CAS landed: re-insert into the published table (finding
-               ourselves already copied is the common case).  The insert
-               into the retired table is invisible and harmless. *)
-            attempt ()
-          else begin
-            let size = 1 + Atomic.fetch_and_add sh.size 1 in
-            if 2 * size > Array.length tab then grow_shard t sh tab
-          end
+          (* landed before any freeze reached the slot, so every rehash
+             of [tab] copies it *)
+          let size = 1 + Atomic.fetch_and_add sh.size 1 in
+          if 2 * size > Array.length tab then grow_shard t sh tab
     in
     attempt ()
 

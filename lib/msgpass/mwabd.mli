@@ -1,6 +1,6 @@
 (** Multi-writer ABD: the standard MWMR register for message-passing
-    systems, built from the SWMR ABD by adding a timestamp-query phase
-    before each write.
+    systems — the {!Quorum} register under its multi-writer discipline,
+    i.e. the SWMR {!Abd} with a timestamp-query phase before each write.
 
     A writer first asks a majority for their current sequence numbers,
     forms [⟨max+1, pid⟩] — a {e Lamport} timestamp, exactly as in the
@@ -18,18 +18,13 @@
     implementation is WSL" therefore really is about the {e single}-writer
     structure, not about message passing vs shared memory.
 
-    {b Fault tolerance.}  Hardened exactly like {!Abd}: replies carry the
-    replica's node index and quorums count distinct nodes, requests are
-    retransmitted to the not-yet-heard replicas after [retry_after]
-    fruitless yields, and servers are idempotent — so every phase
-    terminates under any {!Simkit.Faults} plan keeping a majority of
-    replicas reachable.  Counters: [reg.mwabd.stale],
-    [reg.mwabd.retransmits]. *)
+    Fault tolerance and crash–recovery are the {!Quorum} register's, as
+    for {!Abd}; its counters are named [reg.mwabd.*] here. *)
 
 type t
 
 type persist = [ `Every | `Never ]
-(** Replica sync-point policy; see {!Abd.persist}. *)
+(** Replica sync-point policy; see {!Quorum.persist}. *)
 
 val create :
   ?retry_after:int ->
@@ -43,16 +38,9 @@ val create :
   init:int ->
   unit ->
   t
-(** [n >= 2] nodes; every node may write.  Spawns the server fibers
-    (pids [100 + node]).  [retry_after] (default 25; [<= 0] disables) is
-    the client retransmission timeout in own-fiber yields.  [quorum]
-    (default the majority) is the test-only bug-injection hook described
-    in {!Abd.create}; rounds record it in [reg.mwabd.quorum.need].
-    [persist] (default [`Every]) and [unsafe_recovery] (default [false])
-    are the crash–recovery knobs described in {!Abd.create}; the
-    counters are [reg.mwabd.recoveries] / [reg.mwabd.state_transfer] /
-    [reg.mwabd.amnesia].  [compact] (default [false]) enables stable-log
-    auto-compaction as in {!Abd.create}. *)
+(** {!Quorum.create} with [discipline = Multi_writer]: [n >= 2] nodes;
+    every node may write.  Spawns the server fibers (pids
+    [100 + node]). *)
 
 type msg
 
@@ -72,7 +60,7 @@ val crash_node : t -> node:int -> unit
 val recover_node : t -> node:int -> unit
 (** Restart a crashed node's server with a bumped incarnation, a fresh
     mailbox and the state-transfer recovery handshake (skipped under
-    [unsafe_recovery]); see {!Abd.recover_node}.
+    [unsafe_recovery]); see {!Quorum.recover_node}.
     @raise Invalid_argument if the node's server has not crashed. *)
 
 val server_pid : node:int -> int

@@ -59,6 +59,50 @@ let validate_crash_schedule ?(recoveries = []) ~what ~n ~clients schedule =
     with Invalid_argument msg ->
       invalid_arg (Printf.sprintf "%s: %s" what msg)
 
+(* The one run loop: attach the fault plan, then per scheduler decision
+   run the caller's hook, apply the plan's due crashes and recoveries
+   (crashes first: a due recovery's crash is always at a strictly earlier
+   step, per Faults.validate), halt once [finished], else pick a fiber —
+   all under random message delivery and the network watchdog. *)
+let drive ?(policy = `Random) ?(on_decision = ignore) ~sched ~reg ~rng ~faults
+    ~seed ~finished ~max_steps () =
+  let net = Quorum.net reg in
+  let fpolicy =
+    if Faults.is_benign faults then None
+    else Some (Faults.create ~seed:(fault_seed seed) faults)
+  in
+  Option.iter (Net.set_faults net) fpolicy;
+  let pick =
+    match policy with
+    | `Random -> Sched.random_policy rng
+    | `Round_robin -> Sched.round_robin
+  in
+  let crash node = Quorum.crash_node reg ~node
+  and recover node = Quorum.recover_node reg ~node in
+  let base s =
+    on_decision ();
+    (match fpolicy with
+    | Some f ->
+        let step = Sched.steps sched in
+        List.iter crash (Faults.crashes_due f ~step);
+        List.iter recover (Faults.recoveries_due f ~step)
+    | None -> ());
+    if finished () then Sched.Halt else pick s
+  in
+  let policy = Net.auto_deliver_policy net ~rng base in
+  try (Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps, None)
+  with Sched.Stalled diag -> (Sched.steps sched, Some diag)
+
+let result sched ~obj ~completed (steps, stalled) =
+  {
+    history =
+      History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj;
+    trace = Sched.trace sched;
+    completed;
+    stalled;
+    steps;
+  }
+
 let execute ?metrics ?tracer w =
   Faults.validate w.faults;
   let plan_crashes =
@@ -67,21 +111,16 @@ let execute ?metrics ?tracer w =
   check_crashes ~what:"Runs.execute" ~n:w.n ~clients:(0 :: w.readers)
     (List.sort_uniq Int.compare (w.crash @ plan_crashes));
   let sched = Sched.create ~seed:w.seed ?metrics ?tracer () in
-  let reg = Abd.create ~sched ~name:"ABD" ~n:w.n ~writer:0 ~init:0 () in
-  let faults =
-    if Faults.is_benign w.faults then None
-    else begin
-      let f = Faults.create ~seed:(fault_seed w.seed) w.faults in
-      Net.set_faults (Abd.net reg) f;
-      Some f
-    end
+  let reg =
+    Quorum.create ~sched ~name:"ABD" ~n:w.n
+      ~discipline:(Quorum.Single_writer 0) ~init:0 ()
   in
   let first_write_done = ref false in
   let remaining = ref (1 + List.length w.readers) in
   let finish () = decr remaining in
   Sched.spawn sched ~pid:0 (fun () ->
       for k = 1 to w.writes do
-        Abd.write reg (100 + k);
+        Quorum.write reg ~proc:0 (100 + k);
         if k = 1 then first_write_done := true
       done;
       finish ());
@@ -89,122 +128,30 @@ let execute ?metrics ?tracer w =
     (fun r ->
       Sched.spawn sched ~pid:r (fun () ->
           for _ = 1 to w.reads_each do
-            ignore (Abd.read reg ~reader:r)
+            ignore (Quorum.read reg ~reader:r)
           done;
           finish ()))
     w.readers;
-  let rng = Simkit.Rng.create (Int64.logxor w.seed 0x9E3779B9L) in
+  (* crash the chosen minority once the run is underway *)
   let crashed = ref false in
-  let base_policy s =
-    (* crash the chosen minority once the run is underway *)
+  let on_decision () =
     if (not !crashed) && !first_write_done then begin
       crashed := true;
-      List.iter (fun node -> Abd.crash_node reg ~node) w.crash
-    end;
-    (* the fault plan's scheduled crashes and recoveries, keyed on the
-       step clock (crashes first: a due recovery's crash is always at a
-       strictly earlier step, per Faults.validate) *)
-    (match faults with
-    | Some f ->
-        let step = Sched.steps sched in
-        List.iter (fun node -> Abd.crash_node reg ~node)
-          (Faults.crashes_due f ~step);
-        List.iter (fun node -> Abd.recover_node reg ~node)
-          (Faults.recoveries_due f ~step)
-    | None -> ());
-    if !remaining = 0 then Sched.Halt else Sched.random_policy rng s
+      List.iter (fun node -> Quorum.crash_node reg ~node) w.crash
+    end
   in
-  let policy = Net.auto_deliver_policy (Abd.net reg) ~rng base_policy in
   let max_steps =
     ((w.writes + (List.length w.readers * w.reads_each)) * w.n * 600)
     + (2_000 * List.length w.faults.Faults.recover_at)
   in
-  let stalled = ref None in
-  let steps =
-    try Sched.run sched ~watchdog:(Net.watchdog (Abd.net reg)) ~policy ~max_steps
-    with Sched.Stalled diag ->
-      stalled := Some diag;
-      Sched.steps sched
+  let outcome =
+    drive ~on_decision ~sched ~reg
+      ~rng:(Simkit.Rng.create (Int64.logxor w.seed 0x9E3779B9L))
+      ~faults:w.faults ~seed:w.seed
+      ~finished:(fun () -> !remaining = 0)
+      ~max_steps ()
   in
-  {
-    history =
-      History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj:"ABD";
-    trace = Sched.trace sched;
-    completed = !remaining = 0;
-    stalled = !stalled;
-    steps;
-  }
-
-(* multi-writer workload over the Mwabd register: several writer clients
-   with globally distinct values, plus readers, random asynchrony *)
-let execute_mw ?metrics ?tracer ?(faults = Faults.none) ~n ~writers
-    ~writes_each ~readers ~reads_each ~seed () =
-  Faults.validate faults;
-  let plan_crashes =
-    List.sort_uniq Int.compare (List.map snd faults.Faults.crash_at)
-  in
-  check_crashes ~what:"Runs.execute_mw" ~n ~clients:(writers @ readers)
-    plan_crashes;
-  let sched = Sched.create ~seed ?metrics ?tracer () in
-  let reg = Mwabd.create ~sched ~name:"MW" ~n ~init:0 () in
-  let fpolicy =
-    if Faults.is_benign faults then None
-    else begin
-      let f = Faults.create ~seed:(fault_seed seed) faults in
-      Net.set_faults (Mwabd.net reg) f;
-      Some f
-    end
-  in
-  let remaining = ref (List.length writers + List.length readers) in
-  List.iter
-    (fun wnode ->
-      Sched.spawn sched ~pid:wnode (fun () ->
-          for k = 1 to writes_each do
-            Mwabd.write reg ~proc:wnode ((1000 * (wnode + 1)) + k)
-          done;
-          decr remaining))
-    writers;
-  List.iter
-    (fun rnode ->
-      Sched.spawn sched ~pid:rnode (fun () ->
-          for _ = 1 to reads_each do
-            ignore (Mwabd.read reg ~reader:rnode)
-          done;
-          decr remaining))
-    readers;
-  let rng = Simkit.Rng.create (Int64.logxor seed 0x7E57AB1EL) in
-  let policy s =
-    (match fpolicy with
-    | Some f ->
-        let step = Sched.steps sched in
-        List.iter (fun node -> Mwabd.crash_node reg ~node)
-          (Faults.crashes_due f ~step);
-        List.iter (fun node -> Mwabd.recover_node reg ~node)
-          (Faults.recoveries_due f ~step)
-    | None -> ());
-    if !remaining = 0 then Sched.Halt else Sched.random_policy rng s
-  in
-  let policy = Net.auto_deliver_policy (Mwabd.net reg) ~rng policy in
-  let ops = (List.length writers * writes_each) + (List.length readers * reads_each) in
-  let max_steps =
-    (ops * n * 800) + (2_000 * List.length faults.Faults.recover_at)
-  in
-  let stalled = ref None in
-  let steps =
-    try
-      Sched.run sched ~watchdog:(Net.watchdog (Mwabd.net reg)) ~policy ~max_steps
-    with Sched.Stalled diag ->
-      stalled := Some diag;
-      Sched.steps sched
-  in
-  {
-    history =
-      History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj:"MW";
-    trace = Sched.trace sched;
-    completed = !remaining = 0;
-    stalled = !stalled;
-    steps;
-  }
+  result sched ~obj:"ABD" ~completed:(!remaining = 0) outcome
 
 (* ----- re-runnable configs ---------------------------------------------------- *)
 
@@ -443,95 +390,50 @@ end
 let execute_config ?metrics ?tracer (c : Config.t) =
   Config.validate c;
   let sched = Sched.create ~seed:c.Config.seed ?metrics ?tracer () in
-  let fpolicy =
-    if Faults.is_benign c.Config.faults then None
-    else Some (Faults.create ~seed:(fault_seed c.Config.seed) c.Config.faults)
+  let discipline, value =
+    match c.Config.proto with
+    | Config.Sw ->
+        (Quorum.Single_writer (List.hd c.Config.writers), fun _ k -> 100 + k)
+    | Config.Mw -> (Quorum.Multi_writer, fun w k -> (1000 * (w + 1)) + k)
   in
+  let obj = Config.obj c in
+  let reg =
+    Quorum.create ?quorum:c.Config.quorum ~persist:c.Config.persist
+      ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:obj ~n:c.Config.n
+      ~discipline ~init:0 ()
+  in
+  Net.set_batching (Quorum.net reg) ~window:c.Config.batch_window
+    ~max:c.Config.batch_max;
   let remaining =
     ref (List.length c.Config.writers + List.length c.Config.readers)
   in
-  (* generic over the register's message type: attach faults, spawn the
-     client fibers, drive to quiescence under the configured policy *)
-  let drive net ~obj ~crash ~recover ~write ~read =
-    Option.iter (Net.set_faults net) fpolicy;
-    Net.set_batching net ~window:c.Config.batch_window
-      ~max:c.Config.batch_max;
-    List.iter
-      (fun w ->
-        Sched.spawn sched ~pid:w (fun () ->
-            for k = 1 to c.Config.writes_each do
-              write w k
-            done;
-            decr remaining))
-      c.Config.writers;
-    List.iter
-      (fun r ->
-        Sched.spawn sched ~pid:r (fun () ->
-            for _ = 1 to c.Config.reads_each do
-              read r
-            done;
-            decr remaining))
-      c.Config.readers;
-    let rng = Simkit.Rng.create (Int64.logxor c.Config.seed 0x7E57AB1EL) in
-    let base s =
-      (match fpolicy with
-      | Some f ->
-          let step = Sched.steps sched in
-          List.iter crash (Faults.crashes_due f ~step);
-          List.iter recover (Faults.recoveries_due f ~step)
-      | None -> ());
-      if !remaining = 0 then Sched.Halt
-      else
-        match c.Config.policy with
-        | `Random -> Sched.random_policy rng s
-        | `Round_robin -> Sched.round_robin s
-    in
-    let policy = Net.auto_deliver_policy net ~rng base in
-    let max_steps =
-      match c.Config.max_steps with
-      | Some m -> m
-      | None -> Config.auto_max_steps c
-    in
-    let stalled = ref None in
-    let steps =
-      try Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps
-      with Sched.Stalled diag ->
-        stalled := Some diag;
-        Sched.steps sched
-    in
-    {
-      history =
-        History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj;
-      trace = Sched.trace sched;
-      completed = !remaining = 0;
-      stalled = !stalled;
-      steps;
-    }
+  List.iter
+    (fun w ->
+      Sched.spawn sched ~pid:w (fun () ->
+          for k = 1 to c.Config.writes_each do
+            Quorum.write reg ~proc:w (value w k)
+          done;
+          decr remaining))
+    c.Config.writers;
+  List.iter
+    (fun r ->
+      Sched.spawn sched ~pid:r (fun () ->
+          for _ = 1 to c.Config.reads_each do
+            ignore (Quorum.read reg ~reader:r)
+          done;
+          decr remaining))
+    c.Config.readers;
+  let max_steps =
+    match c.Config.max_steps with Some m -> m | None -> Config.auto_max_steps c
   in
-  match c.Config.proto with
-  | Config.Sw ->
-      let writer = List.hd c.Config.writers in
-      let reg =
-        Abd.create ?quorum:c.Config.quorum ~persist:c.Config.persist
-          ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"ABD"
-          ~n:c.Config.n ~writer ~init:0 ()
-      in
-      drive (Abd.net reg) ~obj:"ABD"
-        ~crash:(fun node -> Abd.crash_node reg ~node)
-        ~recover:(fun node -> Abd.recover_node reg ~node)
-        ~write:(fun _ k -> Abd.write reg (100 + k))
-        ~read:(fun r -> ignore (Abd.read reg ~reader:r))
-  | Config.Mw ->
-      let reg =
-        Mwabd.create ?quorum:c.Config.quorum ~persist:c.Config.persist
-          ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"MW"
-          ~n:c.Config.n ~init:0 ()
-      in
-      drive (Mwabd.net reg) ~obj:"MW"
-        ~crash:(fun node -> Mwabd.crash_node reg ~node)
-        ~recover:(fun node -> Mwabd.recover_node reg ~node)
-        ~write:(fun w k -> Mwabd.write reg ~proc:w ((1000 * (w + 1)) + k))
-        ~read:(fun r -> ignore (Mwabd.read reg ~reader:r))
+  let outcome =
+    drive ~policy:c.Config.policy ~sched ~reg
+      ~rng:(Simkit.Rng.create (Int64.logxor c.Config.seed 0x7E57AB1EL))
+      ~faults:c.Config.faults ~seed:c.Config.seed
+      ~finished:(fun () -> !remaining = 0)
+      ~max_steps ()
+  in
+  result sched ~obj ~completed:(!remaining = 0) outcome
 
 let check ?metrics run =
   if not run.completed then

@@ -1,4 +1,8 @@
-(** Workload drivers for the ABD experiments (E6, E10, E11). *)
+(** Workload drivers for the quorum-register experiments (E6, E10, E11,
+    E12, E14) and the fleet engine: {!execute} (the fixed ABD workload),
+    {!execute_config} (a serializable run of either timestamp discipline)
+    and the one run loop both of them — and {!Fleet} — drive through,
+    {!drive}. *)
 
 type workload = {
   n : int;  (** nodes *)
@@ -43,22 +47,28 @@ val execute : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> workload -> run
     an armed flight recorder captures the whole stack's causal events
     (see {!Simkit.Sched.create}). *)
 
-val execute_mw :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Tracer.t ->
-  ?faults:Simkit.Faults.plan ->
-  n:int ->
-  writers:int list ->
-  writes_each:int ->
-  readers:int list ->
-  reads_each:int ->
+val drive :
+  ?policy:[ `Random | `Round_robin ] ->
+  ?on_decision:(unit -> unit) ->
+  sched:Simkit.Sched.t ->
+  reg:Quorum.t ->
+  rng:Simkit.Rng.t ->
+  faults:Simkit.Faults.plan ->
   seed:int64 ->
+  finished:(unit -> bool) ->
+  max_steps:int ->
   unit ->
-  run
-(** Multi-writer workload over the {!Mwabd} register; write values are
-    globally distinct so the exact checker applies.  [faults] (default
-    {!Simkit.Faults.none}) works as in {!execute}; its [crash_at] nodes
-    must be a strict minority disjoint from [writers] and [readers]. *)
+  int * Simkit.Sched.stall option
+(** The one run loop.  Attaches [faults] to the register's network (its
+    RNG seeded from [seed], independent of [rng]; a benign plan attaches
+    nothing) and runs {!Simkit.Sched.run} under the network watchdog with
+    random message delivery from [rng].  Before each decision it calls
+    [on_decision], then applies the plan's [crash_at] / [recover_at]
+    events due on the step clock (crashes before recoveries within a
+    tick), then halts if [finished ()] and otherwise picks a fiber by
+    [policy] (default [`Random], drawing from [rng]).  Returns the step
+    count and the watchdog's stall diagnostic, if it fired.  Callers
+    spawn their own client fibers first. *)
 
 val check : ?metrics:Obs.Metrics.t -> run -> (unit, string) result
 (** Verify the run's history is linearizable (Lincheck) and that the
@@ -87,7 +97,9 @@ val validate_crash_schedule :
     regression corpus replays.  Equal configs produce byte-for-byte equal
     runs. *)
 module Config : sig
-  type proto = Sw | Mw  (** {!Abd} (one writer) or {!Mwabd}. *)
+  type proto = Sw | Mw
+      (** The register's timestamp discipline: {!Abd} (one writer, the
+          first of [writers]) or {!Mwabd}. *)
 
   type t = {
     proto : proto;

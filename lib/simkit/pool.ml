@@ -26,24 +26,33 @@ let map ~jobs n f =
   else begin
     let results : ('a, exn) result cell array = Array.make n None in
     let next = Atomic.make 0 in
-    let cancelled = Atomic.make false in
+    (* the lowest index that has raised so far ([n] = none): tasks above
+       it are cancelled, tasks below it still run — one of them may fail
+       too, and the sequential run would raise that one *)
+    let first_failure = Atomic.make n in
+    let rec note_failure i =
+      let cur = Atomic.get first_failure in
+      if i < cur && not (Atomic.compare_and_set first_failure cur i) then
+        note_failure i
+    in
     let chunk = chunk_for ~jobs n in
     let worker () =
       let continue_ = ref true in
       while !continue_ do
         let start = Atomic.fetch_and_add next chunk in
-        if start >= n || Atomic.get cancelled then continue_ := false
+        (* claims only grow, so once past the first failure every later
+           claim is too *)
+        if start >= n || start > Atomic.get first_failure then
+          continue_ := false
         else begin
-          (* run the claimed chunk; a cancellation (ours or a sibling's)
-             stops new tasks, matching the one-index-per-CAS behaviour *)
           let stop = Stdlib.min n (start + chunk) in
           let i = ref start in
-          while !i < stop && not (Atomic.get cancelled) do
+          while !i < stop && !i < Atomic.get first_failure do
             (match f !i with
             | v -> results.(!i) <- Some (Ok v)
             | exception e ->
                 results.(!i) <- Some (Error e);
-                Atomic.set cancelled true);
+                note_failure !i);
             incr i
           done
         end

@@ -22,9 +22,11 @@ val map : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map ~jobs n f] evaluates [f i] for each [i] in [0..n-1] on up to
     [jobs] domains (the calling domain included) and returns the results
     indexed by task.  [jobs <= 1] runs sequentially, in index order, on
-    the calling domain.  If a task raises, the run is cancelled (already
-    started tasks finish, no new ones start) and the exception of the
-    lowest-index failed task is re-raised. *)
+    the calling domain.  If a task raises, the tasks above it are
+    cancelled (already started ones finish, no new ones start) while the
+    tasks below it still run, and the exception of the lowest-index failed
+    task is re-raised — the one [jobs = 1] raises, whatever the
+    schedule. *)
 
 val iter : jobs:int -> int -> (int -> unit) -> unit
 

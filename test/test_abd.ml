@@ -286,8 +286,78 @@ let recovery_tests =
             Abd.recover_node reg ~node:2));
   ]
 
+(* ----- pinned executions --------------------------------------------------------- *)
+
+(* The digest of a whole run — its trace entries and its flight-recorder
+   events — for one seed of each driver, under lossy links and a replica
+   crash + recovery.  A change that means to keep every run identical
+   must leave these alone. *)
+let run_digest (run : Runs.run) tracer =
+  let lines =
+    List.map Obs.Json.to_string (Core.Trace.json_entries run.Runs.trace)
+    @ List.map
+        (fun ev -> Obs.Json.to_string (Obs.Tracer.event_json ev))
+        (Obs.Tracer.events tracer)
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let lossy_recovery =
+  {
+    Core.Faults.none with
+    Core.Faults.drop = 0.1;
+    duplicate = 0.05;
+    delay = 0.05;
+    delay_bound = 4;
+    crash_at = [ (100, 3) ];
+    recover_at = [ (300, 3) ];
+  }
+
+let golden_tests =
+  [
+    tc "Runs.execute run is pinned" (fun () ->
+        let tracer = Obs.Tracer.create ~capacity:65536 () in
+        let m = Obs.Metrics.create () in
+        let run =
+          Runs.execute ~metrics:m ~tracer
+            {
+              Runs.default with
+              crash = [ 4 ];
+              faults = lossy_recovery;
+              seed = 20260805L;
+            }
+        in
+        check_bool "completed" true run.Runs.completed;
+        check_int "recovered" 1 (Obs.Metrics.counter m "reg.abd.recoveries");
+        Alcotest.(check string) "digest" "cdd701ab58dd4ac53f53b1443c2e9d70"
+          (run_digest run tracer));
+    tc "Runs.execute_config Mw run is pinned" (fun () ->
+        let tracer = Obs.Tracer.create ~capacity:65536 () in
+        let m = Obs.Metrics.create () in
+        let run =
+          Runs.execute_config ~metrics:m ~tracer
+            {
+              Runs.Config.default with
+              proto = Runs.Config.Mw;
+              n = 5;
+              writers = [ 0; 1 ];
+              writes_each = 2;
+              readers = [ 2 ];
+              reads_each = 3;
+              faults = lossy_recovery;
+              batch_window = 4;
+              batch_max = 4;
+              seed = 20260805L;
+            }
+        in
+        check_bool "completed" true run.Runs.completed;
+        check_int "recovered" 1 (Obs.Metrics.counter m "reg.mwabd.recoveries");
+        Alcotest.(check string) "digest" "98e903a7f7f2c6b9171e9488aa308284"
+          (run_digest run tracer));
+  ]
+
 let suite =
   [
+    ("msgpass.golden", golden_tests);
     ("msgpass.net", net_tests);
     ("msgpass.abd", abd_tests);
     ("msgpass.abd.recovery", recovery_tests);

@@ -479,10 +479,18 @@ let e2e_tests =
           ]);
     tc "MW-ABD terminates and stays linearizable under faults" (fun () ->
         let run =
-          Runs.execute_mw
-            ~faults:{ lossy_plan with Faults.crash_at = [ (150, 3) ] }
-            ~n:5 ~writers:[ 0; 1 ] ~writes_each:2 ~readers:[ 2 ] ~reads_each:2
-            ~seed:11L ()
+          Runs.execute_config
+            {
+              Runs.Config.default with
+              proto = Runs.Config.Mw;
+              faults = { lossy_plan with Faults.crash_at = [ (150, 3) ] };
+              n = 5;
+              writers = [ 0; 1 ];
+              writes_each = 2;
+              readers = [ 2 ];
+              reads_each = 2;
+              seed = 11L;
+            }
         in
         check_bool "completed" true run.Runs.completed;
         check_bool "linearizable" true

@@ -214,8 +214,48 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
+(* Exact executions pinned: the digest of a whole report for one small
+   config per timestamp discipline, each with drop/dup faults, a replica
+   crash + recovery and batching.  A change that means to keep every run
+   identical (a refactor, a substrate speed-up) must leave these alone. *)
+let golden_tests =
+  let pinned name proto digest =
+    tc name (fun () ->
+        let c =
+          {
+            small with
+            Core.Fleet.proto;
+            shards = 2;
+            slots = 4;
+            ops = 800;
+            sample = 2;
+            batch_window = 8;
+            batch_max = 8;
+            faults =
+              {
+                faults with
+                Core.Faults.crash_at = [ (300, 2) ];
+                recover_at = [ (700, 2) ];
+              };
+            seed = 20260807L;
+          }
+        in
+        let m = Core.Metrics.create () in
+        let r = Core.Fleet.run ~metrics:m c in
+        check_bool "completed" true r.Core.Fleet.completed;
+        check_int "both shards recovered" 2
+          (Core.Metrics.counter m "sched.restarts");
+        Alcotest.(check string) "report digest" digest
+          (Digest.to_hex (Digest.string (report_str r))))
+  in
+  [
+    pinned "abd report is pinned" Core.Fleet.Sw "e2f12a7efc094466c01fa1a1f56502a0";
+    pinned "mwabd report is pinned" Core.Fleet.Mw "e40c3145cf83327e94ba23859a221c5b";
+  ]
+
 let suite =
   [
+    ("fleet.golden", golden_tests);
     ("fleet.sharding", shard_tests);
     ("fleet.determinism", determinism_tests);
     ("fleet.engine", engine_tests);

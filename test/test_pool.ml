@@ -71,13 +71,21 @@ let test_exception_propagation () =
   Alcotest.(check (option int)) "lowest-index failure wins" (Some 3) raised;
   (* large n forces chunked claiming (n > jobs * 8, so each CAS claims a
      run of indices): the lowest-index failure must still win even when
-     the failing indices land mid-chunk on different domains *)
+     the failing indices land mid-chunk on different domains — and when
+     a later chunk fails first, which the slow tasks below 11 arrange *)
+  let spin () =
+    let until = Sys.time () +. 0.002 in
+    while Sys.time () < until do
+      ()
+    done
+  in
   List.iter
     (fun jobs ->
       let raised =
         try
           ignore
             (Pool.map ~jobs 400 (fun i ->
+                 if i < 11 then spin ();
                  if i mod 25 = 11 then raise (Boom i)));
           None
         with Boom i -> Some i
