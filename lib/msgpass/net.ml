@@ -248,33 +248,39 @@ let recv t ~pid =
 let in_flight t = Dq.length t.flight
 let mailbox_size t ~pid = Queue.length (mailbox t pid)
 
+(* Every fate of a delivery attempt (deliver, dead_letter, drop) is
+   recorded against the send event [it.ev] — the happens-before edge the
+   exporters draw.  Returns the event's seq, -1 when tracing is off. *)
+let fate t it name =
+  if Obs.Tracer.armed t.trc then
+    Obs.Tracer.emit t.trc ~track:it.m.dst ~parent:it.ev
+      ~args:[ ("src", Obs.Json.Int it.m.src) ]
+      ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
+  else -1
+
+let enqueue t it =
+  Obs.Metrics.incr_h t.delivered_c;
+  Queue.push
+    (it.m.payload, fate t it "deliver", it.m.src, it.inc)
+    (mailbox t it.m.dst)
+
+let dead_letter t it =
+  Obs.Metrics.incr_h t.dead_letters_c;
+  ignore (fate t it "dead_letter")
+
 (* The single point where an in-flight message reaches a mailbox: dead
    destinations and the fault policy are applied here, so every delivery
    path (deliver_nth/_one/_now/_from, batched or not) behaves
    identically.  The item is already off the flight list; a deferral,
-   duplication or partition hold pushes it (back) onto the tail. *)
+   duplication or partition hold pushes it (back) onto the tail.  Top-level
+   helpers only: this runs once per delivered message and builds no
+   closures. *)
 let deliver_item t it =
   let m = it.m in
-  (* every fate of a delivery attempt is recorded against the send event
-     [it.ev] — the happens-before edge the exporters draw *)
-  let fate name =
-    if Obs.Tracer.armed t.trc then
-      Obs.Tracer.emit t.trc ~track:m.dst ~parent:it.ev
-        ~args:[ ("src", Obs.Json.Int m.src) ]
-        ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
-    else -1
-  in
-  let enqueue () =
-    Obs.Metrics.incr_h t.delivered_c;
-    Queue.push (m.payload, fate "deliver", m.src, it.inc) (mailbox t m.dst)
-  in
-  if is_dead t ~pid:m.dst then begin
-    Obs.Metrics.incr_h t.dead_letters_c;
-    ignore (fate "dead_letter")
-  end
+  if is_dead t ~pid:m.dst then dead_letter t it
   else begin
     match t.faults with
-    | None -> enqueue ()
+    | None -> enqueue t it
     | Some f ->
         let step = Simkit.Sched.steps t.sched in
         Obs.Metrics.set_gauge_h t.partition_g
@@ -289,17 +295,17 @@ let deliver_item t it =
           match Simkit.Faults.draw f ~deferrals:it.deferrals with
           | Simkit.Faults.Drop ->
               Obs.Metrics.incr_h t.f_dropped_c;
-              ignore (fate "drop")
+              ignore (fate t it "drop")
           | Simkit.Faults.Defer ->
               it.deferrals <- it.deferrals + 1;
               Obs.Metrics.incr_h t.f_delayed_c;
               Dq.push_back t.flight it
           | Simkit.Faults.Duplicate ->
               Obs.Metrics.incr_h t.f_duplicated_c;
-              enqueue ();
+              enqueue t it;
               Dq.push_back t.flight
                 { m; deferrals = it.deferrals; ev = it.ev; inc = it.inc }
-          | Simkit.Faults.Deliver -> enqueue ()
+          | Simkit.Faults.Deliver -> enqueue t it
         end
   end
 
@@ -369,34 +375,14 @@ let deliver_all t =
   (* end-of-experiment flush: bypasses the fault policy (a drain must
      terminate whatever the plan), but still respects dead destinations *)
   Dq.iter t.flight (fun it ->
-      let fate name =
-        if Obs.Tracer.armed t.trc then
-          Obs.Tracer.emit t.trc ~track:it.m.dst ~parent:it.ev
-            ~args:[ ("src", Obs.Json.Int it.m.src) ]
-            ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
-        else -1
-      in
-      if is_dead t ~pid:it.m.dst then begin
-        Obs.Metrics.incr_h t.dead_letters_c;
-        ignore (fate "dead_letter")
-      end
-      else begin
-        Obs.Metrics.incr_h t.delivered_c;
-        Queue.push
-          (it.m.payload, fate "deliver", it.m.src, it.inc)
-          (mailbox t it.m.dst)
-      end);
+      if is_dead t ~pid:it.m.dst then dead_letter t it else enqueue t it);
   Dq.clear t.flight;
   note_in_flight t
 
 let drop_to t ~dst =
   if Obs.Tracer.armed t.trc then
     Dq.iter t.flight (fun it ->
-        if it.m.dst = dst then
-          ignore
-            (Obs.Tracer.emit t.trc ~track:dst ~parent:it.ev
-               ~args:[ ("src", Obs.Json.Int it.m.src) ]
-               ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" "drop"));
+        if it.m.dst = dst then ignore (fate t it "drop"));
   let removed = Dq.keep_if t.flight (fun it -> it.m.dst <> dst) in
   Obs.Metrics.incr_h ~by:removed t.dropped_c;
   note_in_flight t

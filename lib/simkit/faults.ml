@@ -372,16 +372,28 @@ let partitioned t ~step ~src ~dst =
       && List.mem src isolated <> List.mem dst isolated)
     t.plan_.partitions
 
+(* Both pending lists are ascending by step, so the due events are a
+   prefix: the common case — nothing due, the head is still in the
+   future — returns [] without allocating.  This runs once per
+   scheduling decision. *)
+let rec split_due ~step = function
+  | (s, node) :: rest when s <= step ->
+      let due, rest = split_due ~step rest in
+      (node :: due, rest)
+  | rest -> ([], rest)
+
 let crashes_due t ~step =
-  let due, rest =
-    List.partition (fun (s, _) -> s <= step) t.pending_crashes
-  in
-  t.pending_crashes <- rest;
-  List.map snd due
+  match t.pending_crashes with
+  | (s, _) :: _ when s <= step ->
+      let due, rest = split_due ~step t.pending_crashes in
+      t.pending_crashes <- rest;
+      due
+  | _ -> []
 
 let recoveries_due t ~step =
-  let due, rest =
-    List.partition (fun (s, _) -> s <= step) t.pending_recoveries
-  in
-  t.pending_recoveries <- rest;
-  List.map snd due
+  match t.pending_recoveries with
+  | (s, _) :: _ when s <= step ->
+      let due, rest = split_due ~step t.pending_recoveries in
+      t.pending_recoveries <- rest;
+      due
+  | _ -> []

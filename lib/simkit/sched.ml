@@ -6,6 +6,12 @@ type t = {
   incarnations : (int, int) Hashtbl.t; (* absent = 0 *)
   mutable rr_cursor : int;
   mutable steps_ : int;
+  (* the live set — [pids] filtered by [runnable], ascending — rebuilt
+     lazily after any liveness change marks it stale, so a scheduling
+     decision reads an array instead of folding, sorting and filtering
+     the fiber table *)
+  mutable live_ : int array;
+  mutable live_stale : bool;
   metrics_ : Obs.Metrics.t;
   tracer_ : Obs.Tracer.t;
   (* metric handles, resolved once at creation (hot-path discipline) *)
@@ -30,6 +36,8 @@ let create ?(seed = 1L) ?(metrics = Obs.Metrics.global)
     incarnations = Hashtbl.create 8;
     rr_cursor = 0;
     steps_ = 0;
+    live_ = [||];
+    live_stale = true;
     metrics_ = metrics;
     tracer_ = tracer;
     spawns_c = Obs.Metrics.counter_h metrics "sched.spawns";
@@ -58,7 +66,8 @@ let spawn t ~pid f =
     ignore
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "spawn");
-  Hashtbl.add t.fibers pid (Fiber.spawn ~pid f)
+  Hashtbl.add t.fibers pid (Fiber.spawn ~pid f);
+  t.live_stale <- true
 
 let pids t =
   Hashtbl.fold (fun pid _ acc -> pid :: acc) t.fibers []
@@ -76,7 +85,14 @@ let runnable t ~pid =
   (not (crashed t ~pid))
   && match status t ~pid with Fiber.Runnable -> true | _ -> false
 
-let live_pids t = List.filter (fun pid -> runnable t ~pid) (pids t)
+let live t =
+  if t.live_stale then begin
+    t.live_ <- Array.of_list (List.filter (fun pid -> runnable t ~pid) (pids t));
+    t.live_stale <- false
+  end;
+  t.live_
+
+let live_pids t = Array.to_list (live t)
 
 let step t ~pid =
   if crashed t ~pid then
@@ -92,13 +108,19 @@ let step t ~pid =
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "step");
   match Fiber.step f with
-  | Fiber.Failed e -> raise e
-  | s -> s
+  | Fiber.Runnable as s -> s
+  | Fiber.Finished as s ->
+      t.live_stale <- true;
+      s
+  | Fiber.Failed e ->
+      t.live_stale <- true;
+      raise e
 
 let crash t ~pid =
   ignore (find t pid);
   if not (crashed t ~pid) then begin
     t.crashed_ <- pid :: t.crashed_;
+    t.live_stale <- true;
     Obs.Metrics.incr_h t.crashes_c;
     if Obs.Tracer.armed t.tracer_ then
       ignore
@@ -116,6 +138,7 @@ let restart t ~pid f =
     invalid_arg (Printf.sprintf "Sched.restart: pid %d has not crashed" pid);
   t.crashed_ <- List.filter (fun p -> p <> pid) t.crashed_;
   Hashtbl.replace t.fibers pid (Fiber.spawn ~pid f);
+  t.live_stale <- true;
   let inc = incarnation t ~pid + 1 in
   Hashtbl.replace t.incarnations pid inc;
   Obs.Metrics.incr_h t.restarts_c;
@@ -142,6 +165,7 @@ let recycle t ~pid f =
   if crashed t ~pid then
     invalid_arg (Printf.sprintf "Sched.recycle: pid %d has crashed" pid);
   Hashtbl.replace t.fibers pid (Fiber.spawn ~pid f);
+  t.live_stale <- true;
   Obs.Metrics.incr_h t.recycles_c;
   if Obs.Tracer.armed t.tracer_ then
     ignore
@@ -237,7 +261,7 @@ let run ?watchdog t ~policy ~max_steps =
   let since = ref 0 in
   Obs.Metrics.incr_h t.runs_c;
   while !continue_ && !steps < max_steps do
-    if live_pids t = [] then continue_ := false
+    if Array.length (live t) = 0 then continue_ := false
     else
       match policy t with
       | Halt -> continue_ := false
@@ -273,18 +297,19 @@ let run ?watchdog t ~policy ~max_steps =
   !steps
 
 let round_robin t =
-  match live_pids t with
-  | [] -> Halt
-  | live ->
-      let n = List.length live in
-      let pid = List.nth live (t.rr_cursor mod n) in
+  let live = live t in
+  match Array.length live with
+  | 0 -> Halt
+  | n ->
+      let pid = live.(t.rr_cursor mod n) in
       t.rr_cursor <- t.rr_cursor + 1;
       Step pid
 
 let random_policy rng t =
-  match live_pids t with
-  | [] -> Halt
-  | live -> Step (List.nth live (Rng.int rng (List.length live)))
+  let live = live t in
+  match Array.length live with
+  | 0 -> Halt
+  | n -> Step live.(Rng.int rng n)
 
 let scripted script =
   let remaining = ref script in

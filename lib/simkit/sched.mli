@@ -56,7 +56,16 @@ val runnable : t -> pid:int -> bool
 (** Runnable and not crashed. *)
 
 val live_pids : t -> int list
-(** Pids that are runnable and not crashed. *)
+(** Pids that are runnable and not crashed, ascending — always equal to
+    [List.filter (fun pid -> runnable t ~pid) (pids t)].
+
+    The scheduler keeps this live set cached as an ascending array and
+    marks it stale on every liveness change: {!spawn}, {!crash},
+    {!restart}, {!recycle}, and any {!step} whose fiber comes back
+    [Finished] or [Failed] (before the exception is re-raised).  The next
+    reader rebuilds it from the definition above.  {!run}, {!random_policy}
+    and {!round_robin} read the array directly; this function returns a
+    fresh list copy of it. *)
 
 val step : t -> pid:int -> Fiber.status
 (** Let process [pid] run until its next yield.
@@ -150,11 +159,16 @@ val run : ?watchdog:watchdog -> t -> policy:policy -> max_steps:int -> int
     trace. *)
 
 val round_robin : policy
-(** Fair policy: cycles over live processes. *)
+(** Fair policy: cycles over live processes — the [k]-th decision picks
+    index [k mod n] of the [n] live pids, ascending.  Reads the cached
+    live set (see {!live_pids}), so a decision allocates only its
+    [Step]. *)
 
 val random_policy : Rng.t -> policy
 (** Uniformly random live process each step — the (weak) randomized
-    scheduler used by the termination experiments. *)
+    scheduler used by the termination experiments.  One [Rng.int rng n]
+    draw indexes the cached ascending live set (see {!live_pids}); a
+    decision allocates only its [Step]. *)
 
 val scripted : int list -> policy
 (** Follow a fixed pid script, skipping non-runnable entries; halts when

@@ -214,6 +214,53 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
+(* An allocation ceiling on the fleet's per-op cost: the minor-heap words
+   one [Fleet.run ~jobs:1] allocates on the bench's batched shape (2
+   shards, 4000 ops, drop 0.05 / dup 0.02, batching 8/8, seed 10).  A
+   scheduling decision allocates (nearly) nothing — the scheduler's live
+   set is a cached array, due crash/recovery checks and delivery fates
+   build no lists or closures — and this keeps it that way.  The ceiling
+   sits between the ~1500 words/op this shape allocates (OCaml 5.1) and
+   the ~6800 that rebuilding the live list on every decision costs.  A ceiling rather
+   than an exact count, since the figure depends on the compiler
+   version. *)
+let alloc_tests =
+  let ceiling = 3000. in
+  let words_per_op proto =
+    let c =
+      {
+        Core.Fleet.default with
+        Core.Fleet.proto;
+        shards = 2;
+        ops = 4_000;
+        session_len = 4;
+        keys = 64;
+        faults =
+          { Core.Faults.none with Core.Faults.drop = 0.05; duplicate = 0.02 };
+        seed = 10L;
+        sample = 1;
+        batch_window = 8;
+        batch_max = 8;
+      }
+    in
+    let m = Core.Metrics.create () in
+    let before = Gc.minor_words () in
+    let r = Core.Fleet.run ~jobs:1 ~metrics:m c in
+    let words = Gc.minor_words () -. before in
+    check_bool "completed" true r.Core.Fleet.completed;
+    words /. float_of_int c.Core.Fleet.ops
+  in
+  let under name proto =
+    tc name (fun () ->
+        let w = words_per_op proto in
+        if not (w < ceiling) then
+          Alcotest.failf "%.0f minor words/op, ceiling %.0f" w ceiling)
+  in
+  [
+    under "abd fleet stays under the words/op ceiling" Core.Fleet.Sw;
+    under "mwabd fleet stays under the words/op ceiling" Core.Fleet.Mw;
+  ]
+
 (* Exact executions pinned: the digest of a whole report for one small
    config per timestamp discipline, each with drop/dup faults, a replica
    crash + recovery and batching.  A change that means to keep every run
@@ -259,4 +306,5 @@ let suite =
     ("fleet.sharding", shard_tests);
     ("fleet.determinism", determinism_tests);
     ("fleet.engine", engine_tests);
+    ("fleet.alloc", alloc_tests);
   ]

@@ -255,6 +255,79 @@ let sched_tests =
         Alcotest.(check (list int)) "deterministic" (flips 5L) (flips 5L));
   ]
 
+(* ----- the cached live set against its definition ------------------------------ *)
+
+(* Model-based check of [Sched]'s cached live set: a random sequence of
+   spawn / step / crash / restart / recycle over a handful of pids, and
+   after every action the cache must equal its definition — [pids]
+   filtered by [runnable] — and both policies must pick what [List.nth]
+   over that reference list picks.  The fiber bodies cover every way a
+   step can change liveness: yielding (stays runnable), finishing at
+   once, and raising (ends [Failed]). *)
+let live_set_model seed =
+  let npids = 6 in
+  let rng = Rng.create seed in
+  let s = Sched.create ~seed () in
+  let body () =
+    match Rng.int rng 4 with
+    | 0 -> fun () -> ()
+    | 1 -> fun () -> failwith "boom"
+    | k ->
+        fun () ->
+          for _ = 1 to k do
+            Fiber.yield ()
+          done
+  in
+  let spawned = Array.make npids false in
+  (* round_robin's cursor, mirrored: it advances on every non-Halt pick *)
+  let rr = ref 0 in
+  let check what =
+    let reference =
+      List.filter (fun pid -> Sched.runnable s ~pid) (Sched.pids s)
+    in
+    Alcotest.(check (list int)) (what ^ ": live_pids") reference
+      (Sched.live_pids s);
+    let n = List.length reference in
+    let expect_random =
+      if n = 0 then Sched.Halt
+      else Sched.Step (List.nth reference (Rng.int (Rng.copy rng) n))
+    in
+    check_bool (what ^ ": random_policy") true
+      (Sched.random_policy (Rng.copy rng) s = expect_random);
+    let expect_rr =
+      if n = 0 then Sched.Halt else Sched.Step (List.nth reference (!rr mod n))
+    in
+    check_bool (what ^ ": round_robin") true (Sched.round_robin s = expect_rr);
+    if n > 0 then incr rr
+  in
+  for i = 1 to 400 do
+    let pid = Rng.int rng npids in
+    let what = Printf.sprintf "seed %Ld action %d pid %d" seed i pid in
+    (if not spawned.(pid) then begin
+       spawned.(pid) <- true;
+       Sched.spawn s ~pid (body ())
+     end
+     else if Sched.crashed s ~pid then begin
+       if Rng.bool rng then ignore (Sched.restart s ~pid (body ()))
+     end
+     else
+       match Sched.status s ~pid with
+       | Fiber.Runnable ->
+           if Rng.int rng 5 = 0 then Sched.crash s ~pid
+           else (try ignore (Sched.step s ~pid) with Failure _ -> ())
+       | Fiber.Finished ->
+           if Rng.bool rng then Sched.recycle s ~pid (body ())
+           else Sched.crash s ~pid
+       | Fiber.Failed _ -> Sched.crash s ~pid);
+    check what
+  done
+
+let live_set_tests =
+  [
+    tc "cached live set matches pids filtered by runnable" (fun () ->
+        List.iter live_set_model [ 1L; 2L; 3L; 17L; 20260805L ]);
+  ]
+
 (* ----- trace ------------------------------------------------------------------- *)
 
 let trace_tests =
@@ -311,5 +384,6 @@ let suite =
     ("simkit.rng", rng_tests);
     ("simkit.fiber", fiber_tests);
     ("simkit.sched", sched_tests);
+    ("simkit.live_set", live_set_tests);
     ("simkit.trace", trace_tests);
   ]
