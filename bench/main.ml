@@ -110,27 +110,6 @@ let hot_trees =
        Core.Histgen.atomic_history ~count:8 ~seed:3
     |> List.map Core.Treecheck.of_prefixes)
 
-(* Parallel-driver set: fewer, harder histories (deeper DFS per call), so
-   the per-call domain spawn of the work-stealing driver amortizes and
-   the rows measure search throughput, not setup.  Recorded at -j 1 and
-   -j 2 on whatever this machine is — on the 1-core CI container the
-   -j 2 row honestly shows the coordination overhead. *)
-let hot_par_histories =
-  lazy
-    (gen_histories
-       { Core.Histgen.default_spec with n_ops = 18; n_procs = 5 }
-       Core.Histgen.atomic_history ~count:4 ~seed:4
-    @ gen_histories
-        { Core.Histgen.default_spec with n_ops = 16; n_procs = 5 }
-        Core.Histgen.arbitrary_history ~count:4 ~seed:5)
-
-let hot_par_trees =
-  lazy
-    (gen_histories
-       { Core.Histgen.default_spec with n_ops = 10; n_procs = 4 }
-       Core.Histgen.atomic_history ~count:4 ~seed:6
-    |> List.map Core.Treecheck.of_prefixes)
-
 (* Streaming-checker set: the decide workload concatenated into one
    multi-segment JSONL stream (times shifted, op ids offset), replayed
    through a fresh serve engine per pass — measures the full ingest path
@@ -288,25 +267,6 @@ let throughput_rows ~window_ms () =
       ~counter:"trace.responds" ~window_ms (fun m ->
         ignore (Core.Fleet.run ~metrics:m (fleet_bench_config ~batched:true)));
   ]
-  @ List.concat_map
-      (fun jobs ->
-        [
-          measure_rate
-            ~name:(Printf.sprintf "hot/decide-par-j%d-states-per-sec" jobs)
-            ~counter:"linchk.states" ~window_ms (fun m ->
-              List.iter
-                (fun h ->
-                  ignore (Core.Lincheck.witness ~metrics:m ~jobs ~init h))
-                (Lazy.force hot_par_histories));
-          measure_rate
-            ~name:(Printf.sprintf "hot/treecheck-par-j%d-nodes-per-sec" jobs)
-            ~counter:"treecheck.nodes" ~window_ms (fun m ->
-              List.iter
-                (fun t ->
-                  ignore (Core.Treecheck.write_strong ~metrics:m ~jobs ~init t))
-                (Lazy.force hot_par_trees));
-        ])
-      [ 1; 2 ]
 
 let tests =
   [

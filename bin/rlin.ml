@@ -10,8 +10,8 @@
      rlin fig3 | rlin fig4             replay the paper's figures
      rlin abd ...                      run an ABD workload and check it
      rlin mwabd                        multi-writer ABD + its non-WSL refutation
-     rlin check -j N ...               seeded history batteries through the
-                                       (work-stealing parallel) checker
+     rlin check ...                    seeded history batteries through the
+                                       checker
      rlin chaos run ...                random config search + online monitors
      rlin chaos replay PATH            replay the regression corpus verbatim
      rlin chaos shrink PATH            re-minimize corpus entries
@@ -554,18 +554,7 @@ let chaos_run_cmd =
              corpus entry as a post-mortem (sequential, deterministic; \
              reports still diff clean across -j).")
   in
-  let check_jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "check-jobs" ] ~docv:"JOBS"
-          ~doc:
-            "Run the linearizability monitor's checker on up to $(docv) \
-             domains per audited run (the work-stealing parallel driver).  \
-             Verdicts, reports and corpora are identical whatever $(docv) \
-             is.")
-  in
-  let run budget seed jobs check_jobs inject inject_recovery corpus json
-      flight =
+  let run budget seed jobs inject inject_recovery corpus json flight =
     if inject && inject_recovery then begin
       Printf.eprintf
         "rlin: --inject-quorum-bug and --inject-recovery-bug are mutually \
@@ -578,7 +567,7 @@ let chaos_run_cmd =
       else None
     in
     let report =
-      Core.Chaos.search ~jobs ~check_jobs ?inject ~flight
+      Core.Chaos.search ~jobs ?inject ~flight
         ~telemetry:Obs.Metrics.global ~seed ~budget ()
     in
     let findings = report.Core.Chaos.findings in
@@ -623,8 +612,8 @@ let chaos_run_cmd =
           every violation to a minimal reproducer.  Exits non-zero when \
           violations were found.")
     Term.(
-      const run $ budget $ seed_arg $ jobs_arg $ check_jobs $ inject
-      $ inject_recovery $ corpus $ json $ flight)
+      const run $ budget $ seed_arg $ jobs_arg $ inject $ inject_recovery
+      $ corpus $ json $ flight)
 
 let replay_path path =
   match Core.Corpus.load path with
@@ -1607,7 +1596,7 @@ let metrics_cmd =
 
 (* ----- main ------------------------------------------------------------------ *)
 
-(* ----- check: seeded history batteries through the (parallel) checker ------- *)
+(* ----- check: seeded history batteries through the checker ------------------ *)
 
 let check_cmd =
   let count =
@@ -1654,12 +1643,10 @@ let check_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write a JSONL report ('-' for stdout): one check_run header \
-             (which carries the jobs count and the effective op cap), then \
-             one record per history.  Per-history records are identical at \
-             every -j; only the header differs.")
+             (which carries the op cap), then one record per history.")
   in
-  let run count ops procs family tree seed jobs json =
-    let cap = Core.Lincheck.effective_cap ~jobs in
+  let battery count ops procs family tree seed json =
+    let cap = Core.Lincheck.max_ops in
     let rand =
       Random.State.make [| Int64.to_int seed land 0x3FFFFFFF; 0xC0FFEE |]
     in
@@ -1681,9 +1668,9 @@ let check_cmd =
             else Core.Histgen.arbitrary_history spec rand
       in
       let verdict, witness =
-        match Core.Lincheck.prep ~cap ~init hist with
+        match Core.Lincheck.prep ~init hist with
         | p -> (
-            match Core.Lincheck.decide_prepped ~jobs p with
+            match Core.Lincheck.decide_prepped p with
             | Some w ->
                 incr n_ok;
                 ( "ok",
@@ -1712,7 +1699,7 @@ let check_cmd =
       if tree then begin
         let tverdict, torders =
           match
-            Core.Treecheck.write_strong_witness ~jobs ~init
+            Core.Treecheck.write_strong_witness ~init
               (Core.Treecheck.of_prefixes hist)
           with
           | Some assign ->
@@ -1743,9 +1730,9 @@ let check_cmd =
       end
     done;
     Printf.printf
-      "check: %d histories (seed %Ld, jobs %d, cap %d): %d linearizable, %d \
-       not, %d too large\n"
-      count seed jobs cap !n_ok !n_fail !n_large;
+      "check: %d histories (seed %Ld, cap %d): %d linearizable, %d not, %d \
+       too large\n"
+      count seed cap !n_ok !n_fail !n_large;
     if tree then
       Printf.printf "check: prefix trees: %d write-strong, %d not\n" !tree_ok
         !tree_fail;
@@ -1759,26 +1746,36 @@ let check_cmd =
               ("ops", Core.Json.Int ops);
               ("procs", Core.Json.Int procs);
               ("seed", Core.Json.Str (Int64.to_string seed));
-              ("jobs", Core.Json.Int jobs);
-              ("effective_cap", Core.Json.Int cap);
+              ("cap", Core.Json.Int cap);
             ]
         in
         write_jsonl path (header :: List.rev !rows))
       json;
     0
   in
+  (* Histgen would clamp a size below 1 to 1 while the header recorded
+     the raw value, so such sizes are rejected up front *)
+  let run count ops procs family tree seed json =
+    match
+      List.find_opt
+        (fun (_, v) -> v < 1)
+        [ ("--count", count); ("--ops", ops); ("--procs", procs) ]
+    with
+    | Some (flag, v) ->
+        Printf.eprintf "rlin: %s %d: must be at least 1\n" flag v;
+        2
+    | None -> battery count ops procs family tree seed json
+  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Generate seeded histories and decide their linearizability \
           (optionally plus the prefix-tree write strong-linearizability \
-          check) on up to JOBS domains via the work-stealing parallel \
-          checker.  Verdicts and witnesses are identical at every -j; the \
-          Too_large op cap is raised with the domain budget \
-          (Lincheck.effective_cap) and surfaced in the report header.")
+          check) with the sequential checker.  Histories over the op cap \
+          (Lincheck.max_ops, 62) are reported as too large; the cap is \
+          recorded in the report header.")
     Term.(
-      const run $ count $ ops $ procs $ family $ tree $ seed_arg $ jobs_arg
-      $ json)
+      const run $ count $ ops $ procs $ family $ tree $ seed_arg $ json)
 
 (* ----- fleet ----------------------------------------------------------------- *)
 

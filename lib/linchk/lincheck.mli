@@ -26,22 +26,11 @@ val max_ops : int
 
 exception Too_large of { n : int; cap : int }
 (** Raised by every checker entry point when the single-object history
-    has [n > cap] operations ([cap] defaults to {!max_ops}; drivers may
-    impose a lower one via {!prep}'s [?cap]). *)
-
-val effective_cap : jobs:int -> int
-(** The operation cap a driver should impose given [jobs] domains:
-    [min max_ops (53 + 9 * (jobs - 1))].  The bitmask encoding pins the
-    hard ceiling at {!max_ops}; below it the ceiling is wall-clock, and
-    each extra domain buys roughly nine more ops.  Library entry points
-    do {e not} apply this — their cap stays {!max_ops} at every [jobs],
-    so verdicts (including [Too_large]) never depend on [-j]; the
-    [rlin check] driver applies it and reports the cap it used. *)
+    has [n > cap] operations; [cap] is always {!max_ops}. *)
 
 val check :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   History.Hist.t ->
   bool
@@ -58,32 +47,23 @@ val check :
     which the Perfetto export renders as counter tracks.  Disarmed, the
     probe costs one branch per state.
 
-    [jobs] (default 1) > 1 runs the work-stealing parallel driver: the
-    search splits at the top-of-tree frontier into lex-ordered subtree
-    tasks sharing a sharded failure memo, and the lowest-index success
-    wins (higher-index tasks are cancelled), so the verdict {e and}
-    witness are identical to the sequential search at every [jobs] — see
-    DESIGN.md §14.  Parallel runs add [linchk.par.tasks] /
-    [linchk.par.stolen] / [linchk.par.cancelled] counters and a
-    [linchk.par.memo_occupancy] gauge, and with an armed [tracer] emit a
-    post-hoc [linchk.par.done] summary event (tasks run inside the
-    parallel driver never trace — the recorder is not thread-safe).
+    The search runs on the calling domain (DESIGN.md §14); parallelism
+    belongs across runs, not inside one check.
     @raise Invalid_argument if [h] spans several objects. *)
 
 val witness :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   History.Hist.t ->
   History.Op.t list option
 (** A linearization order, if one exists.  Pending writes that the witness
     chose to linearize appear in place; pending reads never appear.
-    Byte-identical at every [jobs] (lowest-index-success rule). *)
+    Of all linearizations the DFS returns the lex-least one in op-index
+    candidate order. *)
 
 val check_multi :
   ?metrics:Obs.Metrics.t ->
-  ?jobs:int ->
   init_of:(string -> History.Value.t) ->
   History.Hist.t ->
   bool
@@ -173,18 +153,17 @@ type prepped
 (** A history preprocessed for the search: ops array, precedence
     bitmasks, completion mask, and the interned write-value table. *)
 
-val prep : ?cap:int -> init:History.Value.t -> History.Hist.t -> prepped
-(** @raise Too_large on more than [cap] (default {!max_ops}) operations.
-    @raise Invalid_argument on a multi-object history, a completed
-    read with no recorded result, or [cap] outside [1..max_ops]. *)
+val prep : init:History.Value.t -> History.Hist.t -> prepped
+(** @raise Too_large on more than {!max_ops} operations.
+    @raise Invalid_argument on a multi-object history or a completed
+    read with no recorded result. *)
 
 val decide_prepped :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   prepped ->
   History.Op.t list option
-(** {!witness} on a prepped history ([jobs] as in {!check}). *)
+(** {!witness} on a prepped history. *)
 
 val enumerate_prepped :
   ?metrics:Obs.Metrics.t -> prepped -> limit:int -> History.Op.t list list

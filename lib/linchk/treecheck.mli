@@ -40,7 +40,6 @@ val of_prefixes : History.Hist.t -> tree
 val write_strong :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   tree ->
   bool
@@ -48,21 +47,12 @@ val write_strong :
     (Definition 4 restricted to the tree's histories)?  [metrics]
     (default {!Obs.Metrics.global}) receives [treecheck.nodes] /
     [treecheck.candidates] and the underlying {!Lincheck} counters —
-    pass a private registry to isolate a parallel run's numbers.
+    pass a private registry to isolate one run's numbers when runs go
+    through [Simkit.Pool].
 
     An armed [tracer] (default {!Obs.Tracer.null}) receives a
     [treecheck.progress] event (category ["check"]) every 64 node visits:
-    nodes visited, candidate orders generated, current tree depth.
-
-    [jobs] (default 1) > 1 preps the tree's nodes in parallel and runs
-    the work-stealing tree search: the OR structure of the search
-    (candidate orders, nested along single-child spines) is expanded
-    into lex-ordered alternatives, each solved as a task, and the
-    lowest-index success wins — verdicts and witnesses are identical to
-    the sequential search at every [jobs] (DESIGN.md §14).  Parallel
-    runs add [treecheck.par.tasks] / [treecheck.par.stolen] /
-    [treecheck.par.cancelled] counters and, with an armed [tracer], a
-    post-hoc [treecheck.par.done] summary event. *)
+    nodes visited, candidate orders generated, current tree depth. *)
 
 val strong : ?metrics:Obs.Metrics.t -> init:History.Value.t -> tree -> bool
 (** Does a strong linearization function exist on this tree
@@ -72,7 +62,6 @@ val strong : ?metrics:Obs.Metrics.t -> init:History.Value.t -> tree -> bool
 val write_strong_witness :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   tree ->
   (History.Hist.t * int list) list option
@@ -83,7 +72,6 @@ val write_strong_witness :
 val subset_strong :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   sel:(History.Op.t -> bool) ->
   tree ->
@@ -100,7 +88,6 @@ val subset_strong :
 val subset_strong_witness :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   sel:(History.Op.t -> bool) ->
   tree ->
@@ -109,7 +96,6 @@ val subset_strong_witness :
 val read_strong :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   tree ->
   bool

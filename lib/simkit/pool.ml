@@ -73,8 +73,6 @@ let map ~jobs n f =
       results
   end
 
-let iter ~jobs n f = ignore (map ~jobs n f : unit array)
-
 (* The per-run metrics-isolation harness (see DESIGN.md "Parallel
    harness"): every task records into its own fresh registry — the global
    registry is never touched off the calling domain — and the registries

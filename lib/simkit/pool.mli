@@ -28,8 +28,6 @@ val map : jobs:int -> int -> (int -> 'a) -> 'a array
     task is re-raised — the one [jobs = 1] raises, whatever the
     schedule. *)
 
-val iter : jobs:int -> int -> (int -> unit) -> unit
-
 val map_runs :
   jobs:int ->
   metrics:Obs.Metrics.t ->

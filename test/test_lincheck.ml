@@ -111,9 +111,27 @@ let unit_tests =
               r ~id:4 ~proc:4 ~invoked:11 ~responded:12 200;
             ]
         in
-        match L.witness ~init hist with
+        (match L.witness ~init hist with
         | Some s ->
             check_bool "valid" true (Hist.Seq.is_linearization_of ~init hist s)
+        | None -> Alcotest.fail "expected linearizable");
+        (* 12 concurrent writes of 1..12, then a read of 1: the write of 1
+           must come last, so the lex-least witness is writes 2..12 in id
+           order, then write 1, then the read *)
+        let k = 12 in
+        let hist =
+          h
+            (List.init k (fun i ->
+                 w ~id:(i + 1) ~proc:(i + 1) ~invoked:i ~responded:(100 + i)
+                   (i + 1))
+            @ [ r ~id:(k + 1) ~proc:1 ~invoked:300 ~responded:301 1 ])
+        in
+        match L.witness ~init hist with
+        | Some s ->
+            Alcotest.(check (list int))
+              "lex-least witness"
+              (List.init (k - 1) (fun i -> i + 2) @ [ 1; k + 1 ])
+              (List.map (fun (o : Op.t) -> o.id) s)
         | None -> Alcotest.fail "expected linearizable");
     tc "witness is None when not linearizable" (fun () ->
         check_bool "none" true
@@ -223,6 +241,8 @@ let enumerate_tests =
                 ~responded:((i * 2) + 2)
                 (100 + i))
         in
+        (* the cap is exactly max_ops: 62 ops pass prep, 63 raise *)
+        ignore (L.prep ~init (h (List.filteri (fun i _ -> i < L.max_ops) ops)));
         try
           ignore (L.check ~init (h ops));
           Alcotest.fail "accepted 63 ops"
@@ -362,7 +382,16 @@ let ipset_tests =
                 (Ipset.mem s ~k1 ~k2)
           done;
           Alcotest.(check int) "cardinality agrees" (Hashtbl.length oracle)
-            (Ipset.length s)
+            (Ipset.length s);
+          let st = Ipset.stats s in
+          Alcotest.(check int) "stats.size" (Ipset.length s) st.Ipset.size;
+          Alcotest.(check int) "stats.capacity" (Ipset.capacity s)
+            st.Ipset.capacity;
+          Alcotest.(check bool) "grew past 8 slots" true (st.Ipset.grows >= 1);
+          Alcotest.(check bool) "occupancy in (0, 0.5]" true
+            (st.Ipset.occupancy > 0. && st.Ipset.occupancy <= 0.5);
+          Alcotest.(check bool) "occupancy accessor agrees" true
+            (Ipset.occupancy s = st.Ipset.occupancy)
         done);
     tc "Ipset add is idempotent" (fun () ->
         let s = Ipset.create () in

@@ -123,7 +123,27 @@ let wsl_tests =
                   is_prefix a b && chain_ok rest
               | _ -> true
             in
-            check_bool "monotone" true (chain_ok assignments));
+            check_bool "monotone" true (chain_ok assignments);
+            (* a satisfiable two-child tree: both children keep G's
+               committed write order [1; 2] *)
+            let w1 = w ~id:1 ~proc:1 ~invoked:1 ~responded:3 100 in
+            let w2 = w ~id:2 ~proc:2 ~invoked:4 ~responded:6 200 in
+            let g = Hist.of_ops [ w1; w2 ] in
+            let h1 =
+              Hist.of_ops [ w1; w2; r ~id:3 ~proc:3 ~invoked:8 ~responded:9 200 ]
+            in
+            let h2 =
+              Hist.of_ops [ w1; w2; w ~id:3 ~proc:3 ~invoked:8 ~responded:9 300 ]
+            in
+            match
+              T.write_strong_witness ~init (T.node g [ T.node h1 []; T.node h2 [] ])
+            with
+            | None -> Alcotest.fail "expected a witness on the branching tree"
+            | Some assignments ->
+                Alcotest.(check (list (list int)))
+                  "pre-order write orders"
+                  [ [ 1; 2 ]; [ 1; 2 ]; [ 1; 2; 3 ] ]
+                  (List.map snd assignments));
   ]
 
 let strong_tests =
