@@ -1,94 +1,110 @@
-type 'a msg = { src : int; dst : int; payload : 'a }
+(* A message, in flight or delivered.  [deferrals] counts how often
+   faults already deferred it (the reorder-window budget of
+   Simkit.Faults).  [ev] is the flight-recorder sequence number of the
+   send event (-1 when tracing is off): deliver events cite it as their
+   causal parent, which is the message id that gives the exported trace
+   its happens-before edges.  [inc] is the sender's incarnation number at
+   send time (Sched.incarnation): it rides with the message into the
+   mailbox so a quorum collector can tell a pre-crash ghost from a reply
+   by the sender's current incarnation.  [dseq] is the deliver event's
+   sequence number, set when the item reaches a mailbox (-1 untraced): a
+   receive restores the causal context to "caused by this message".  The
+   same record travels from the flight ring to the mailbox ring, so a
+   delivery allocates nothing beyond it. *)
+type 'a item = {
+  src : int;
+  dst : int;
+  payload : 'a;
+  mutable deferrals : int;
+  ev : int;
+  inc : int;
+  mutable dseq : int;
+}
 
-(* An in-flight message and how often faults already deferred it (the
-   reorder-window budget of Simkit.Faults).  [ev] is the flight-recorder
-   sequence number of the send event (-1 when tracing is off): deliver
-   events cite it as their causal parent, which is the message id that
-   gives the exported trace its happens-before edges.  [inc] is the
-   sender's incarnation number at send time (Sched.incarnation): it rides
-   with the message into the mailbox so a quorum collector can tell a
-   pre-crash ghost from a reply by the sender's current incarnation. *)
-type 'a item = { m : 'a msg; mutable deferrals : int; ev : int; inc : int }
-
-(* A growable ring buffer over the in-flight messages, oldest first.
-   Replaces the previous O(n)-append list: push/length are O(1) and
-   [remove i] shifts only the shorter side, while preserving the exact
-   index semantics deliver_nth/deliver_one rely on (index i = i-th oldest,
-   removal keeps the relative order of the rest). *)
+(* A growable ring buffer, oldest first: the in-flight store and every
+   mailbox.  push/pop/length are O(1) and [remove i] shifts only the
+   shorter side, preserving the exact index semantics
+   deliver_nth/deliver_one rely on (index i = i-th oldest, removal keeps
+   the relative order of the rest).  Items are stored directly (no
+   option box per push) and the capacity is 0 or a power of two, so an
+   index is one mask.  A vacated slot is not cleared — there is no
+   filler of type ['a] to clear it with — so it keeps its last item until
+   a later push overwrites it: a ring pins at most its capacity in
+   stale items. *)
 module Dq = struct
   type 'a t = {
-    mutable buf : 'a option array;
+    mutable buf : 'a array; (* capacity 0 or a power of two *)
     mutable head : int; (* slot of the oldest element *)
     mutable len : int;
   }
 
-  let create () = { buf = Array.make 16 None; head = 0; len = 0 }
+  let create () = { buf = [||]; head = 0; len = 0 }
   let length t = t.len
+  let[@inline] slot t i = (t.head + i) land (Array.length t.buf - 1)
 
-  let grow t =
+  (* [x] is about to be pushed: it fills the fresh slots *)
+  let grow t x =
     let cap = Array.length t.buf in
-    let buf' = Array.make (2 * cap) None in
+    let buf' = Array.make (if cap = 0 then 16 else 2 * cap) x in
     for i = 0 to t.len - 1 do
-      buf'.(i) <- t.buf.((t.head + i) mod cap)
+      buf'.(i) <- t.buf.(slot t i)
     done;
     t.buf <- buf';
     t.head <- 0
 
   let push_back t x =
-    if t.len = Array.length t.buf then grow t;
-    t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
+    if t.len = Array.length t.buf then grow t x;
+    t.buf.(slot t t.len) <- x;
     t.len <- t.len + 1
 
   let get t i =
     if i < 0 || i >= t.len then invalid_arg "Net: index out of bounds";
-    match t.buf.((t.head + i) mod Array.length t.buf) with
-    | Some x -> x
-    | None -> assert false
+    t.buf.(slot t i)
 
-  let remove t i =
-    let x = get t i in
-    let cap = Array.length t.buf in
-    if i < t.len - 1 - i then begin
-      (* shift the prefix towards the tail, advance head *)
-      for k = i downto 1 do
-        t.buf.((t.head + k) mod cap) <- t.buf.((t.head + k - 1) mod cap)
-      done;
-      t.buf.(t.head) <- None;
-      t.head <- (t.head + 1) mod cap
-    end
-    else begin
-      for k = i to t.len - 2 do
-        t.buf.((t.head + k) mod cap) <- t.buf.((t.head + k + 1) mod cap)
-      done;
-      t.buf.((t.head + t.len - 1) mod cap) <- None
-    end;
+  let pop_front t =
+    let x = get t 0 in
+    t.head <- slot t 1;
     t.len <- t.len - 1;
     x
 
-  let find t p =
-    let rec go i =
-      if i >= t.len then None else if p (get t i) then Some i else go (i + 1)
-    in
-    go 0
+  let remove t i =
+    let x = get t i in
+    if i < t.len - 1 - i then begin
+      (* shift the prefix towards the tail, advance head *)
+      for k = i downto 1 do
+        t.buf.(slot t k) <- t.buf.(slot t (k - 1))
+      done;
+      t.head <- slot t 1
+    end
+    else
+      for k = i to t.len - 2 do
+        t.buf.(slot t k) <- t.buf.(slot t (k + 1))
+      done;
+    t.len <- t.len - 1;
+    x
 
   let iter t f =
     for i = 0 to t.len - 1 do
       f (get t i)
     done
 
-  let to_list t = List.init t.len (get t)
-
   let clear t =
-    Array.fill t.buf 0 (Array.length t.buf) None;
     t.head <- 0;
     t.len <- 0
 
-  (* keep elements satisfying [p], preserving order; returns removed count *)
+  (* keep elements satisfying [p], preserving order, in place; returns
+     the removed count *)
   let keep_if t p =
-    let kept = List.filter p (to_list t) in
-    let removed = t.len - List.length kept in
-    clear t;
-    List.iter (push_back t) kept;
+    let kept = ref 0 in
+    for i = 0 to t.len - 1 do
+      let x = get t i in
+      if p x then begin
+        t.buf.(slot t !kept) <- x;
+        incr kept
+      end
+    done;
+    let removed = t.len - !kept in
+    t.len <- !kept;
     removed
 end
 
@@ -96,10 +112,9 @@ type 'a t = {
   sched : Simkit.Sched.t;
   n : int;
   flight : 'a item Dq.t; (* oldest first *)
-  (* a mailbox entry carries the deliver event's seq (-1 untraced), so a
-     receive can restore the causal context to "caused by this message",
-     plus the sender pid and the sender's incarnation at send time *)
-  mailboxes : (int, ('a * int * int * int) Queue.t) Hashtbl.t;
+  (* pid-indexed, grown on demand; each ring holds delivered items in
+     delivery order *)
+  mutable boxes : 'a item Dq.t array;
   mutable dead : int list; (* destinations whose mail is dead-lettered *)
   mutable faults : Simkit.Faults.t option;
   (* per-destination batching (see set_batching): a delivery attempt for
@@ -108,6 +123,9 @@ type 'a t = {
      positions.  Disabled (window 0 / max 1) by default. *)
   mutable batch_window : int;
   mutable batch_max : int;
+  (* scratch for one attempt's coalesced flight indices, ascending;
+     length [batch_max - 1] *)
+  mutable batch_idx : int array;
   trc : Obs.Tracer.t;
   (* metric handles, resolved once at creation (hot-path discipline) *)
   sends_c : Obs.Metrics.Counter.t;
@@ -130,11 +148,12 @@ let create ~sched ~n =
     sched;
     n;
     flight = Dq.create ();
-    mailboxes = Hashtbl.create 16;
+    boxes = Array.init n (fun _ -> Dq.create ());
     dead = [];
     faults = None;
     batch_window = 0;
     batch_max = 1;
+    batch_idx = [||];
     trc = Simkit.Sched.tracer sched;
     sends_c = Obs.Metrics.counter_h reg "net.sends";
     attempts_c = Obs.Metrics.counter_h reg "net.delivery_attempts";
@@ -150,12 +169,14 @@ let create ~sched ~n =
   }
 
 let mailbox t pid =
-  match Hashtbl.find_opt t.mailboxes pid with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.mailboxes pid q;
-      q
+  if pid < 0 then invalid_arg "Net: negative pid";
+  let have = Array.length t.boxes in
+  if pid >= have then
+    t.boxes <-
+      Array.init
+        (Stdlib.max (pid + 1) (2 * have))
+        (fun p -> if p < have then t.boxes.(p) else Dq.create ());
+  t.boxes.(pid)
 
 let metrics t = Simkit.Sched.metrics t.sched
 
@@ -169,7 +190,8 @@ let set_batching t ~window ~max =
   if window < 0 then invalid_arg "Net.set_batching: window must be >= 0";
   if max < 1 then invalid_arg "Net.set_batching: max must be >= 1";
   t.batch_window <- window;
-  t.batch_max <- max
+  t.batch_max <- max;
+  t.batch_idx <- Array.make (max - 1) 0
 
 let batching_active t = t.batch_window > 0 && t.batch_max > 1
 
@@ -178,9 +200,9 @@ let mark_dead t ~pid =
     t.dead <- pid :: t.dead;
     (* mail already delivered to the dead process will never be read *)
     let q = mailbox t pid in
-    if Queue.length q > 0 then begin
-      Obs.Metrics.incr_h ~by:(Queue.length q) t.dead_letters_c;
-      Queue.clear q
+    if Dq.length q > 0 then begin
+      Obs.Metrics.incr_h ~by:(Dq.length q) t.dead_letters_c;
+      Dq.clear q
     end
   end
 
@@ -191,11 +213,10 @@ let revive t ~pid =
     t.dead <- List.filter (fun p -> p <> pid) t.dead;
     (* a recovering node boots with an empty mailbox: everything addressed
        to the old incarnation was dead-lettered while it was down *)
-    Queue.clear (mailbox t pid)
+    Dq.clear (mailbox t pid)
   end
 
-let note_in_flight t =
-  Obs.Metrics.set_gauge_h t.in_flight_g (float_of_int (Dq.length t.flight))
+let note_in_flight t = Obs.Metrics.set_gauge_int_h t.in_flight_g (Dq.length t.flight)
 
 let send t ~src ~dst payload =
   Obs.Metrics.incr_h t.sends_c;
@@ -208,10 +229,13 @@ let send t ~src ~dst payload =
   in
   Dq.push_back t.flight
     {
-      m = { src; dst; payload };
+      src;
+      dst;
+      payload;
       deferrals = 0;
       ev;
       inc = Simkit.Sched.incarnation t.sched ~pid:src;
+      dseq = -1;
     };
   note_in_flight t
 
@@ -220,49 +244,44 @@ let broadcast t ~src payload =
     send t ~src ~dst payload
   done
 
-(* the stamped receive collect_quorum uses: payload plus (src, send-time
-   incarnation) so the collector can reject pre-crash ghosts *)
-let try_recv_stamped t ~pid =
-  let q = mailbox t pid in
-  if Queue.is_empty q then None
-  else begin
-    let payload, dseq, src, inc = Queue.pop q in
-    (* what this process does next is caused by this message *)
-    if dseq >= 0 then Obs.Tracer.set_ctx t.trc dseq;
-    Some (payload, src, inc)
-  end
+(* pop the oldest item of a non-empty mailbox: what the receiving process
+   does next is caused by this message *)
+let take t q =
+  let it = Dq.pop_front q in
+  if it.dseq >= 0 then Obs.Tracer.set_ctx t.trc it.dseq;
+  it
 
 let try_recv t ~pid =
-  Option.map (fun (payload, _, _) -> payload) (try_recv_stamped t ~pid)
+  let q = mailbox t pid in
+  if Dq.length q = 0 then None else Some (take t q).payload
 
 let recv t ~pid =
-  let rec wait () =
-    match try_recv t ~pid with
-    | Some m -> m
-    | None ->
-        Simkit.Fiber.yield ();
-        wait ()
-  in
-  wait ()
+  let q = mailbox t pid in
+  while Dq.length q = 0 do
+    Simkit.Fiber.yield ()
+  done;
+  (take t q).payload
 
 let in_flight t = Dq.length t.flight
-let mailbox_size t ~pid = Queue.length (mailbox t pid)
+
+let mailbox_size t ~pid =
+  if pid >= 0 && pid < Array.length t.boxes then Dq.length t.boxes.(pid)
+  else 0
 
 (* Every fate of a delivery attempt (deliver, dead_letter, drop) is
    recorded against the send event [it.ev] — the happens-before edge the
    exporters draw.  Returns the event's seq, -1 when tracing is off. *)
 let fate t it name =
   if Obs.Tracer.armed t.trc then
-    Obs.Tracer.emit t.trc ~track:it.m.dst ~parent:it.ev
-      ~args:[ ("src", Obs.Json.Int it.m.src) ]
+    Obs.Tracer.emit t.trc ~track:it.dst ~parent:it.ev
+      ~args:[ ("src", Obs.Json.Int it.src) ]
       ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
   else -1
 
 let enqueue t it =
   Obs.Metrics.incr_h t.delivered_c;
-  Queue.push
-    (it.m.payload, fate t it "deliver", it.m.src, it.inc)
-    (mailbox t it.m.dst)
+  it.dseq <- fate t it "deliver";
+  Dq.push_back (mailbox t it.dst) it
 
 let dead_letter t it =
   Obs.Metrics.incr_h t.dead_letters_c;
@@ -271,13 +290,11 @@ let dead_letter t it =
 (* The single point where an in-flight message reaches a mailbox: dead
    destinations and the fault policy are applied here, so every delivery
    path (deliver_nth/_one/_now/_from, batched or not) behaves
-   identically.  The item is already off the flight list; a deferral,
-   duplication or partition hold pushes it (back) onto the tail.  Top-level
-   helpers only: this runs once per delivered message and builds no
-   closures. *)
+   identically.  A deferral, duplication or partition hold pushes the
+   item (back) onto the flight tail.  Top-level helpers only: this runs
+   once per delivered message and builds no closures. *)
 let deliver_item t it =
-  let m = it.m in
-  if is_dead t ~pid:m.dst then dead_letter t it
+  if is_dead t ~pid:it.dst then dead_letter t it
   else begin
     match t.faults with
     | None -> enqueue t it
@@ -285,7 +302,7 @@ let deliver_item t it =
         let step = Simkit.Sched.steps t.sched in
         Obs.Metrics.set_gauge_h t.partition_g
           (if Simkit.Faults.partition_active f ~step then 1. else 0.);
-        if Simkit.Faults.partitioned f ~step ~src:m.src ~dst:m.dst then begin
+        if Simkit.Faults.partitioned f ~step ~src:it.src ~dst:it.dst then begin
           (* held until the partition heals; does not consume a draw or
              the message's deferral budget *)
           Obs.Metrics.incr_h t.f_delayed_c;
@@ -302,12 +319,29 @@ let deliver_item t it =
               Dq.push_back t.flight it
           | Simkit.Faults.Duplicate ->
               Obs.Metrics.incr_h t.f_duplicated_c;
+              (* the copy stays in flight; the original goes to the
+                 mailbox (enqueue stamps its deliver event) *)
+              let copy = { it with dseq = -1 } in
               enqueue t it;
-              Dq.push_back t.flight
-                { m; deferrals = it.deferrals; ev = it.ev; inc = it.inc }
+              Dq.push_back t.flight copy
           | Simkit.Faults.Deliver -> enqueue t it
         end
   end
+
+(* Fill [t.batch_idx] with the flight indices, ascending, of up to
+   [batch_max - 1] messages to [dst] among the oldest [batch_window]
+   positions; returns how many it found. *)
+let scan_batch t ~dst =
+  let limit = Stdlib.min (Dq.length t.flight) t.batch_window in
+  let found = ref 0 and j = ref 0 in
+  while !found < t.batch_max - 1 && !j < limit do
+    if (Dq.get t.flight !j).dst = dst then begin
+      t.batch_idx.(!found) <- !j;
+      incr found
+    end;
+    incr j
+  done;
+  !found
 
 (* One delivery attempt: deliver the i-th oldest in-flight message and —
    when batching is on — coalesce same-destination messages found among
@@ -316,38 +350,25 @@ let deliver_item t it =
    coalesced message still runs the full per-message fate logic (dead
    destination, partition hold, its own fault draw), so batching changes
    how many messages one attempt moves, never the per-message fault
-   discipline.  The whole batch is unhooked from the flight list before
-   any fate runs: a deferral or duplication re-push can never be
-   re-scanned within the attempt that produced it. *)
+   discipline.  The batch is chosen before any fate runs, so a deferral
+   or duplication re-push is never re-scanned within the attempt that
+   produced it.  The coalesced items leave the flight ring after their
+   fates, youngest first: a fate only pushes onto the tail, beyond every
+   scanned index, so the indices stay valid and the ring ends in the
+   same order as if the batch had been unhooked first. *)
 let deliver_nth t i =
   if i < 0 || i >= Dq.length t.flight then invalid_arg "Net.deliver_nth";
   Obs.Metrics.incr_h t.attempts_c;
   let it = Dq.remove t.flight i in
-  let batch =
-    if not (batching_active t) then []
-    else begin
-      let dst = it.m.dst in
-      let limit = Stdlib.min (Dq.length t.flight) t.batch_window in
-      let idxs = ref [] (* descending *) and found = ref 0 in
-      let j = ref 0 in
-      while !found < t.batch_max - 1 && !j < limit do
-        if (Dq.get t.flight !j).m.dst = dst then begin
-          idxs := !j :: !idxs;
-          incr found
-        end;
-        incr j
-      done;
-      (* [idxs] is descending: rev_map removes youngest-first (keeping
-         the remaining indices valid) and yields the items oldest-first *)
-      List.rev_map (fun k -> Dq.remove t.flight k) !idxs
-    end
-  in
+  let found = if batching_active t then scan_batch t ~dst:it.dst else 0 in
   deliver_item t it;
-  List.iter
-    (fun extra ->
-      Obs.Metrics.incr_h t.coalesced_c;
-      deliver_item t extra)
-    batch;
+  for k = 0 to found - 1 do
+    Obs.Metrics.incr_h t.coalesced_c;
+    deliver_item t (Dq.get t.flight t.batch_idx.(k))
+  done;
+  for k = found - 1 downto 0 do
+    ignore (Dq.remove t.flight t.batch_idx.(k))
+  done;
   note_in_flight t
 
 let deliver_one t ~rng =
@@ -357,33 +378,37 @@ let deliver_one t ~rng =
       deliver_nth t (Simkit.Rng.int rng n);
       true
 
-let deliver_now t ~dst =
-  match Dq.find t.flight (fun it -> it.m.dst = dst) with
-  | None -> false
-  | Some i ->
+(* the oldest in-flight index to [dst] (and from [src] unless
+   [any_src]), -1 if none *)
+let rec find_oldest t ~any_src ~src ~dst i =
+  if i >= Dq.length t.flight then -1
+  else
+    let it = Dq.get t.flight i in
+    if it.dst = dst && (any_src || it.src = src) then i
+    else find_oldest t ~any_src ~src ~dst (i + 1)
+
+let deliver_oldest t ~any_src ~src ~dst =
+  match find_oldest t ~any_src ~src ~dst 0 with
+  | -1 -> false
+  | i ->
       deliver_nth t i;
       true
 
-let deliver_from t ~src ~dst =
-  match Dq.find t.flight (fun it -> it.m.dst = dst && it.m.src = src) with
-  | None -> false
-  | Some i ->
-      deliver_nth t i;
-      true
+let deliver_now t ~dst = deliver_oldest t ~any_src:true ~src:0 ~dst
+let deliver_from t ~src ~dst = deliver_oldest t ~any_src:false ~src ~dst
 
 let deliver_all t =
   (* end-of-experiment flush: bypasses the fault policy (a drain must
      terminate whatever the plan), but still respects dead destinations *)
   Dq.iter t.flight (fun it ->
-      if is_dead t ~pid:it.m.dst then dead_letter t it else enqueue t it);
+      if is_dead t ~pid:it.dst then dead_letter t it else enqueue t it);
   Dq.clear t.flight;
   note_in_flight t
 
 let drop_to t ~dst =
   if Obs.Tracer.armed t.trc then
-    Dq.iter t.flight (fun it ->
-        if it.m.dst = dst then ignore (fate t it "drop"));
-  let removed = Dq.keep_if t.flight (fun it -> it.m.dst <> dst) in
+    Dq.iter t.flight (fun it -> if it.dst = dst then ignore (fate t it "drop"));
+  let removed = Dq.keep_if t.flight (fun it -> it.dst <> dst) in
   Obs.Metrics.incr_h ~by:removed t.dropped_c;
   note_in_flight t
 
@@ -397,35 +422,38 @@ let collect_quorum t ~pid ~need ~seen ~classify ~stale ~retry_after ~resend =
   let count = ref 0 in
   Array.iter (fun b -> if b then incr count) seen;
   let idle = ref 0 in
+  let q = mailbox t pid in
   while !count < need do
-    match try_recv_stamped t ~pid with
-    | Some (payload, src, inc) -> (
+    if Dq.length q > 0 then begin
+      let it = take t q in
+      idle := 0;
+      (* the incarnation rule: a reply stamped with an older incarnation
+         of its sender was produced before that sender crashed — its
+         state may predate what the recovered incarnation re-promised,
+         so it can never count toward a post-recovery quorum *)
+      if it.inc <> Simkit.Sched.incarnation t.sched ~pid:it.src then stale ()
+      else
+        match classify it.payload with
+        | Some node when node >= 0 && node < Array.length seen ->
+            if not seen.(node) then begin
+              seen.(node) <- true;
+              incr count
+            end
+            (* duplicate reply from a counted node: idempotent, ignore *)
+        | Some _ | None -> stale ()
+    end
+    else begin
+      Simkit.Fiber.yield ();
+      incr idle;
+      if retry_after > 0 && !idle >= retry_after then begin
         idle := 0;
-        (* the incarnation rule: a reply stamped with an older incarnation
-           of its sender was produced before that sender crashed — its
-           state may predate what the recovered incarnation re-promised,
-           so it can never count toward a post-recovery quorum *)
-        if inc <> Simkit.Sched.incarnation t.sched ~pid:src then stale ()
-        else
-          match classify payload with
-          | Some node when node >= 0 && node < Array.length seen ->
-              if not seen.(node) then begin
-                seen.(node) <- true;
-                incr count
-              end
-              (* duplicate reply from a counted node: idempotent, ignore *)
-          | Some _ | None -> stale ())
-    | None ->
-        Simkit.Fiber.yield ();
-        incr idle;
-        if retry_after > 0 && !idle >= retry_after then begin
-          idle := 0;
-          let missing = ref [] in
-          for node = Array.length seen - 1 downto 0 do
-            if not seen.(node) then missing := node :: !missing
-          done;
-          resend ~missing:!missing
-        end
+        let missing = ref [] in
+        for node = Array.length seen - 1 downto 0 do
+          if not seen.(node) then missing := node :: !missing
+        done;
+        resend ~missing:!missing
+      end
+    end
   done
 
 (* ----- diagnostics / watchdog ------------------------------------------------ *)
@@ -439,17 +467,17 @@ let describe t =
     Dq.iter t.flight (fun it ->
         if not !first then Buffer.add_string b ", ";
         first := false;
-        Printf.bprintf b "%d->%d%s" it.m.src it.m.dst
+        Printf.bprintf b "%d->%d%s" it.src it.dst
           (if it.deferrals > 0 then Printf.sprintf "(x%d)" it.deferrals
            else ""));
     Buffer.add_string b "]"
   end;
-  let boxes =
-    Hashtbl.fold
-      (fun pid q acc -> if Queue.length q > 0 then (pid, Queue.length q) :: acc else acc)
-      t.mailboxes []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+  let boxes = ref [] in
+  for pid = Array.length t.boxes - 1 downto 0 do
+    let k = Dq.length t.boxes.(pid) in
+    if k > 0 then boxes := (pid, k) :: !boxes
+  done;
+  let boxes = !boxes in
   Buffer.add_string b "\nmailboxes:";
   if boxes = [] then Buffer.add_string b " (all empty)"
   else

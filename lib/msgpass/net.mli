@@ -15,9 +15,12 @@
     deliveries to it are dropped and counted ([net.dead_letters]) instead
     of accumulating unread forever.
 
-    The in-flight store is a growable ring buffer: send and [in_flight]
-    are O(1), and [deliver_nth i] preserves the exact "i-th oldest,
-    relative order kept" semantics the deterministic experiments rely on.
+    The in-flight store and every mailbox are growable rings holding the
+    message's item itself (mailboxes in a pid-indexed array): send,
+    receive and [in_flight] are O(1), a message allocates nothing beyond
+    its item and payload, and [deliver_nth i] preserves the exact "i-th
+    oldest, relative order kept" semantics the deterministic experiments
+    rely on.
 
     The default {!auto_deliver_policy} delivers a uniformly random
     in-flight message between process steps, giving the random asynchrony

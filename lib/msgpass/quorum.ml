@@ -43,6 +43,7 @@ type t = {
   init_ : int;
   retry_ : int; (* client retransmission timeout, in own-fiber yields *)
   quorum_ : int; (* replies per round; majority unless overridden *)
+  quorum_f : float; (* [quorum_] as the histogram sample, boxed once *)
   persist_ : persist;
   unsafe_recovery_ : bool;
   net : msg Net.t;
@@ -81,21 +82,22 @@ let origin disc node =
 (* flight-recorder events for operation phases (category "reg"): an
    [invoke] roots the op's causal tree, each quorum [round] chains to it,
    [retransmit]s chain to their round, and the [respond] closes the op.
-   All guarded on [Tracer.armed] so untraced runs pay one branch. *)
+   Every call site guards the whole emit, [~args] list included, on
+   [traced t] (DESIGN.md §13): untraced runs pay one branch and build no
+   list. *)
 let trc t = Sched.tracer t.sched
+let traced t = Obs.Tracer.armed (trc t)
 
 let emit_op t ~pid ~parent name args =
-  let tr = trc t in
-  if Obs.Tracer.armed tr then
-    Obs.Tracer.emit tr ~track:pid ~parent
-      ~args:(("obj", Obs.Json.Str t.name_) :: args)
-      ~sim:(Sched.steps t.sched) ~cat:"reg" name
-  else -1
+  Obs.Tracer.emit (trc t) ~track:pid ~parent
+    ~args:(("obj", Obs.Json.Str t.name_) :: args)
+    ~sim:(Sched.steps t.sched) ~cat:"reg" name
 
 let emit_persist t ~parent ~node sq =
-  ignore
-    (emit_op t ~pid:(server_pid ~node) ~parent "persist"
-       [ ("node", Obs.Json.Int node); (t.ts_key, Obs.Json.Int sq) ])
+  if traced t then
+    ignore
+      (emit_op t ~pid:(server_pid ~node) ~parent "persist"
+         [ ("node", Obs.Json.Int node); (t.ts_key, Obs.Json.Int sq) ])
 
 (* a replica accepted an update: apply it in memory and write it ahead to
    stable storage.  Under [`Every] the append is immediately durable (and
@@ -184,6 +186,7 @@ let create ?(retry_after = 25) ?quorum ?(persist = `Every)
       init_ = init;
       retry_ = retry_after;
       quorum_;
+      quorum_f = float_of_int quorum_;
       persist_ = persist;
       unsafe_recovery_ = unsafe_recovery;
       net = Net.create ~sched ~n:200;
@@ -232,9 +235,10 @@ let collect t ~pid ~parent ~need ~seen ~payload ~classify =
     ~retry_after:t.retry_
     ~resend:(fun ~missing ->
       Obs.Metrics.incr_h t.retransmits_c;
-      ignore
-        (emit_op t ~pid ~parent "retransmit"
-           [ ("missing", Obs.Json.Int (List.length missing)) ]);
+      if traced t then
+        ignore
+          (emit_op t ~pid ~parent "retransmit"
+             [ ("missing", Obs.Json.Int (List.length missing)) ]);
       Obs.Tracer.set_ctx (trc t) parent;
       List.iter (fun node -> send_to t ~src:pid ~node payload) missing)
 
@@ -244,9 +248,11 @@ let collect t ~pid ~parent ~need ~seen ~payload ~classify =
 let quorum_round t ~pid ~pseq ~payload ~classify =
   (* every round records the quorum size it waits for: the chaos
      quorum-intersection monitor checks min(need) >= majority *)
-  Obs.Metrics.observe_h t.quorum_need_h (float_of_int t.quorum_);
+  Obs.Metrics.observe_h t.quorum_need_h t.quorum_f;
   let rseq =
-    emit_op t ~pid ~parent:pseq "round" [ ("need", Obs.Json.Int t.quorum_) ]
+    if traced t then
+      emit_op t ~pid ~parent:pseq "round" [ ("need", Obs.Json.Int t.quorum_) ]
+    else -1
   in
   (* sends below chain to the round via the ambient context *)
   Obs.Tracer.set_ctx (trc t) rseq;
@@ -259,18 +265,22 @@ let quorum_round t ~pid ~pseq ~payload ~classify =
      restore the op as ambient cause for whatever follows the round *)
   Obs.Tracer.set_ctx (trc t) pseq
 
+(* [args] is [] unless [traced t]: callers build it under the guard *)
 let invoke t ~proc kind args =
   let op_id = Trace.invoke (Sched.trace t.sched) ~proc ~obj:t.name_ ~kind in
   let pseq =
-    emit_op t ~pid:proc ~parent:(-1) "invoke"
-      (("op", Obs.Json.Int op_id) :: args)
+    if traced t then
+      emit_op t ~pid:proc ~parent:(-1) "invoke"
+        (("op", Obs.Json.Int op_id) :: args)
+    else -1
   in
   (op_id, pseq)
 
 let respond t ~proc ~op_id ~pseq ~result args =
-  ignore
-    (emit_op t ~pid:proc ~parent:pseq "respond"
-       (("op", Obs.Json.Int op_id) :: args));
+  if traced t then
+    ignore
+      (emit_op t ~pid:proc ~parent:pseq "respond"
+         (("op", Obs.Json.Int op_id) :: args));
   Obs.Tracer.set_ctx (trc t) (-1);
   Trace.respond (Sched.trace t.sched) ~op_id ~result
 
@@ -278,7 +288,9 @@ let write t ~proc v =
   Obs.Metrics.incr_h t.writes_c;
   let op_id, pseq =
     invoke t ~proc (Op.Write (V.Int v))
-      [ ("kind", Obs.Json.Str "write"); ("v", Obs.Json.Int v) ]
+      (if traced t then
+         [ ("kind", Obs.Json.Str "write"); ("v", Obs.Json.Int v) ]
+       else [])
   in
   let sq, pid =
     match t.disc with
@@ -311,7 +323,8 @@ let write t ~proc v =
 let read t ~reader =
   Obs.Metrics.incr_h t.reads_c;
   let op_id, pseq =
-    invoke t ~proc:reader Op.Read [ ("kind", Obs.Json.Str "read") ]
+    invoke t ~proc:reader Op.Read
+      (if traced t then [ ("kind", Obs.Json.Str "read") ] else [])
   in
   (* phase 1: a quorum of replies; keep the largest timestamp.  Updating
      [best] from a duplicate (or refreshed) reply of an already-counted
@@ -338,7 +351,7 @@ let read t ~reader =
       | _ -> None);
   respond t ~proc:reader ~op_id ~pseq
     ~result:(Some (V.Int !best_v))
-    [ ("v", Obs.Json.Int !best_v) ];
+    (if traced t then [ ("v", Obs.Json.Int !best_v) ] else []);
   !best_v
 
 let crash_node t ~node =
@@ -377,12 +390,13 @@ let recovering_server t node () =
        rolled-back state — the seeded bug the recovery-sanity monitor
        flags. *)
     if t.lost_at_crash.(node) > 0 then Obs.Metrics.incr_h t.amnesia_c;
-    ignore
-      (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
-         [
-           ("node", Obs.Json.Int node);
-           ("lost", Obs.Json.Int t.lost_at_crash.(node));
-         ])
+    if traced t then
+      ignore
+        (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
+           [
+             ("node", Obs.Json.Int node);
+             ("lost", Obs.Json.Int t.lost_at_crash.(node));
+           ])
   end
   else begin
     Obs.Metrics.incr_h t.state_transfer_c;
@@ -390,8 +404,10 @@ let recovering_server t node () =
     t.recseq <- t.recseq + 1;
     let rid = t.recseq in
     let pseq =
-      emit_op t ~pid:me ~parent:(-1) "state_transfer"
-        [ ("node", Obs.Json.Int node) ]
+      if traced t then
+        emit_op t ~pid:me ~parent:(-1) "state_transfer"
+          [ ("node", Obs.Json.Int node) ]
+      else -1
     in
     Obs.Tracer.set_ctx (trc t) pseq;
     let payload = Rec_req { rid; node } in

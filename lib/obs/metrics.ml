@@ -7,18 +7,26 @@
    its percentiles cover every sample. *)
 let reservoir_cap = 4096
 
-type hist = {
-  mutable count : int;
+(* All-float records are stored flat, so a store into one boxes nothing;
+   a float field of a mixed record would allocate on every store. *)
+type fstats = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type hist = {
+  mutable count : int;
+  st : fstats;
   mutable samples : floatarray;
   mutable filled : int;
 }
 
+type gcell = { mutable g : float }
+
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
+  gauges : (string, gcell) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
@@ -57,9 +65,9 @@ module Gauge = struct
      value — reporting an unset gauge as 0 would change deltas).  The
      cell is therefore bound lazily on the first [set]. *)
   type t = {
-    tbl : (string, float ref) Hashtbl.t;
+    tbl : (string, gcell) Hashtbl.t;
     name : string;
-    mutable cell : float ref option;
+    mutable cell : gcell option;
   }
 end
 
@@ -84,41 +92,46 @@ let read_h (c : Counter.t) = !c
 let gauge_h t name : Gauge.t =
   { Gauge.tbl = t.gauges; name; cell = Hashtbl.find_opt t.gauges name }
 
-let set_gauge_h (g : Gauge.t) v =
+let gauge_cell (g : Gauge.t) =
   match g.Gauge.cell with
-  | Some r -> r := v
-  | None -> (
-      match Hashtbl.find_opt g.Gauge.tbl g.Gauge.name with
-      | Some r ->
-          g.Gauge.cell <- Some r;
-          r := v
-      | None ->
-          let r = ref v in
-          Hashtbl.add g.Gauge.tbl g.Gauge.name r;
-          g.Gauge.cell <- Some r)
+  | Some c -> c
+  | None ->
+      let c =
+        match Hashtbl.find_opt g.Gauge.tbl g.Gauge.name with
+        | Some c -> c
+        | None ->
+            let c = { g = 0. } in
+            Hashtbl.add g.Gauge.tbl g.Gauge.name c;
+            c
+      in
+      g.Gauge.cell <- Some c;
+      c
+
+let set_gauge_h g v = (gauge_cell g).g <- v
+let set_gauge_int_h g n = (gauge_cell g).g <- float_of_int n
+
+let empty_hist () =
+  {
+    count = 0;
+    st = { sum = 0.; min_v = Float.infinity; max_v = Float.neg_infinity };
+    samples = Float.Array.create 16;
+    filled = 0;
+  }
 
 let hist_h t name : Hist.t =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
   | None ->
-      let h =
-        {
-          count = 0;
-          sum = 0.;
-          min_v = Float.infinity;
-          max_v = Float.neg_infinity;
-          samples = Float.Array.create 16;
-          filled = 0;
-        }
-      in
+      let h = empty_hist () in
       Hashtbl.add t.hists name h;
       h
 
 let observe_h (h : Hist.t) v =
   h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v;
+  let st = h.st in
+  st.sum <- st.sum +. v;
+  if v < st.min_v then st.min_v <- v;
+  if v > st.max_v then st.max_v <- v;
   assert (h.filled <= reservoir_cap);
   if h.filled < reservoir_cap then begin
     if h.filled = Float.Array.length h.samples then begin
@@ -149,7 +162,7 @@ let counter t name =
    registries into the experiment's registry in run order. *)
 let merge ~into src =
   Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
-  Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges;
+  Hashtbl.iter (fun name c -> set_gauge into name c.g) src.gauges;
   Hashtbl.iter
     (fun name (h : hist) ->
       if h.count > 0 then begin
@@ -157,23 +170,14 @@ let merge ~into src =
           match Hashtbl.find_opt into.hists name with
           | Some d -> d
           | None ->
-              let d =
-                {
-                  count = 0;
-                  sum = 0.;
-                  min_v = Float.infinity;
-                  max_v = Float.neg_infinity;
-                  samples = Float.Array.create 16;
-                  filled = 0;
-                }
-              in
+              let d = empty_hist () in
               Hashtbl.add into.hists name d;
               d
         in
         d.count <- d.count + h.count;
-        d.sum <- d.sum +. h.sum;
-        if h.min_v < d.min_v then d.min_v <- h.min_v;
-        if h.max_v > d.max_v then d.max_v <- h.max_v;
+        d.st.sum <- d.st.sum +. h.st.sum;
+        if h.st.min_v < d.st.min_v then d.st.min_v <- h.st.min_v;
+        if h.st.max_v > d.st.max_v then d.st.max_v <- h.st.max_v;
         let want = Stdlib.min reservoir_cap (d.filled + h.filled) in
         if want > Float.Array.length d.samples then begin
           let bigger = Float.Array.create want in
@@ -189,7 +193,7 @@ let merge ~into src =
     src.hists
 
 let gauge t name =
-  Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
+  Option.map (fun c -> c.g) (Hashtbl.find_opt t.gauges name)
 
 type summary = {
   count : int;
@@ -218,10 +222,10 @@ let summarize (h : hist) =
     Some
       {
         count = h.count;
-        sum = h.sum;
-        min = h.min_v;
-        max = h.max_v;
-        mean = h.sum /. float_of_int h.count;
+        sum = h.st.sum;
+        min = h.st.min_v;
+        max = h.st.max_v;
+        mean = h.st.sum /. float_of_int h.count;
         retained = h.filled;
         p50 = quantile 0.5;
         p90 = quantile 0.9;
@@ -246,7 +250,7 @@ let snapshot (t : t) =
       Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
       |> List.sort by_name;
     gauges =
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
+      Hashtbl.fold (fun k c acc -> (k, c.g) :: acc) t.gauges []
       |> List.sort by_name;
     histograms =
       Hashtbl.fold

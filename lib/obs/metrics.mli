@@ -88,6 +88,12 @@ val gauge_h : t -> string -> Gauge.t
 
 val set_gauge_h : Gauge.t -> float -> unit
 
+val set_gauge_int_h : Gauge.t -> int -> unit
+(** [set_gauge_int_h g n] is [set_gauge_h g (float_of_int n)] without
+    boxing the float at the call: gauge and histogram cells are flat
+    float storage, so neither setter allocates (hot paths such as
+    [Net]'s in-flight gauge run it per message). *)
+
 val hist_h : t -> string -> Hist.t
 (** Resolve (creating empty if absent) a histogram handle.  An empty
     histogram is invisible to {!snapshot} until its first sample. *)

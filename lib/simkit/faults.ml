@@ -352,25 +352,31 @@ let plan t = t.plan_
 
 let draw t ~deferrals =
   let p = t.plan_ in
-  let u = Rng.float t.rng in
+  (* [Rng.float], converted here so the float stays unboxed *)
+  let u = Float.of_int (Rng.float_bits t.rng) *. 0x1p-53 in
   if u < p.drop then Drop
   else if u < p.drop +. p.duplicate then Duplicate
   else if u < p.drop +. p.duplicate +. p.delay && deferrals < p.delay_bound
   then Defer
   else Deliver
 
-let partition_active t ~step =
-  List.exists
-    (fun (start, len, _) -> step >= start && step < start + len)
-    t.plan_.partitions
+(* both run once per delivered message: plain recursion over the plan,
+   no closure capturing [step] *)
+let rec any_active ~step = function
+  | [] -> false
+  | (start, len, _) :: rest ->
+      (step >= start && step < start + len) || any_active ~step rest
 
-let partitioned t ~step ~src ~dst =
-  List.exists
-    (fun (start, len, isolated) ->
-      step >= start
+let rec any_cut ~step ~src ~dst = function
+  | [] -> false
+  | (start, len, isolated) :: rest ->
+      (step >= start
       && step < start + len
       && List.mem src isolated <> List.mem dst isolated)
-    t.plan_.partitions
+      || any_cut ~step ~src ~dst rest
+
+let partition_active t ~step = any_active ~step t.plan_.partitions
+let partitioned t ~step ~src ~dst = any_cut ~step ~src ~dst t.plan_.partitions
 
 (* Both pending lists are ascending by step, so the due events are a
    prefix: the common case — nothing due, the head is still in the

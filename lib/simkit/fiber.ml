@@ -28,16 +28,20 @@ let status t =
 
 let yield () = perform Yield
 
+(* Installed once per fiber, at its first step.  The yield action is
+   bound here, once, so a yield allocates no [Some (fun k -> ...)]: [effc]
+   runs on every yield and only hands back this one value. *)
 let handler t =
+  let suspend =
+    Some (fun (k : (unit, unit) continuation) -> t.state <- Suspended k)
+  in
   {
     retc = (fun () -> t.state <- Done);
     exnc = (fun e -> t.state <- Dead e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Yield ->
-            Some
-              (fun (k : (a, _) continuation) -> t.state <- Suspended k)
+        | Yield -> (suspend : ((a, unit) continuation -> unit) option)
         | _ -> None);
   }
 

@@ -17,8 +17,14 @@ val int : t -> int -> int
     @raise Invalid_argument if [bound <= 0]. *)
 
 val float : t -> float
-(** [float t] is uniform in [\[0, 1)] (53 bits of precision) — used by the
-    fault-injection layer to test per-message probabilities. *)
+(** [float t] is uniform in [\[0, 1)] (53 bits of precision). *)
+
+val float_bits : t -> int
+(** The 53-bit integer [k] behind a {!float} draw, which is exactly
+    [Float.of_int k *. 0x1p-53]; both advance the stream by one output.
+    A float returned across a module boundary is boxed (2 words), an int
+    is not: the fault-injection layer draws its per-message probability
+    this way and converts locally. *)
 
 val bool : t -> bool
 

@@ -1,3 +1,5 @@
+type decision = Step of int | Halt
+
 type t = {
   tr : Trace.t;
   rng_ : Rng.t;
@@ -11,6 +13,9 @@ type t = {
      decision reads an array instead of folding, sorting and filtering
      the fiber table *)
   mutable live_ : int array;
+  (* [Step live_.(i)] at index [i], rebuilt with [live_], so the policies
+     hand back a cached decision instead of allocating one *)
+  mutable live_steps : decision array;
   mutable live_stale : bool;
   metrics_ : Obs.Metrics.t;
   tracer_ : Obs.Tracer.t;
@@ -37,6 +42,7 @@ let create ?(seed = 1L) ?(metrics = Obs.Metrics.global)
     rr_cursor = 0;
     steps_ = 0;
     live_ = [||];
+    live_steps = [||];
     live_stale = true;
     metrics_ = metrics;
     tracer_ = tracer;
@@ -74,9 +80,10 @@ let pids t =
   |> List.sort Int.compare
 
 let find t pid =
-  match Hashtbl.find_opt t.fibers pid with
-  | Some f -> f
-  | None -> invalid_arg (Printf.sprintf "Sched: unknown pid %d" pid)
+  match Hashtbl.find t.fibers pid with
+  | f -> f
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Sched: unknown pid %d" pid)
 
 let status t ~pid = Fiber.status (find t pid)
 let crashed t ~pid = List.mem pid t.crashed_
@@ -88,6 +95,7 @@ let runnable t ~pid =
 let live t =
   if t.live_stale then begin
     t.live_ <- Array.of_list (List.filter (fun pid -> runnable t ~pid) (pids t));
+    t.live_steps <- Array.map (fun pid -> Step pid) t.live_;
     t.live_stale <- false
   end;
   t.live_
@@ -129,8 +137,10 @@ let crash t ~pid =
     Trace.note t.tr ~tag:"crash" ~text:(Printf.sprintf "p%d" pid)
   end
 
+(* read on every send and every collected reply: no [Some] per lookup *)
 let incarnation t ~pid =
-  Option.value (Hashtbl.find_opt t.incarnations pid) ~default:0
+  if Hashtbl.mem t.incarnations pid then Hashtbl.find t.incarnations pid
+  else 0
 
 let restart t ~pid f =
   ignore (find t pid);
@@ -183,7 +193,6 @@ let coin t ~proc =
   Trace.coin t.tr ~proc ~value:v;
   v
 
-type decision = Step of int | Halt
 type policy = t -> decision
 
 type stall = {
@@ -297,19 +306,17 @@ let run ?watchdog t ~policy ~max_steps =
   !steps
 
 let round_robin t =
-  let live = live t in
-  match Array.length live with
-  | 0 -> Halt
-  | n ->
-      let pid = live.(t.rr_cursor mod n) in
-      t.rr_cursor <- t.rr_cursor + 1;
-      Step pid
+  let n = Array.length (live t) in
+  if n = 0 then Halt
+  else begin
+    let d = t.live_steps.(t.rr_cursor mod n) in
+    t.rr_cursor <- t.rr_cursor + 1;
+    d
+  end
 
 let random_policy rng t =
-  let live = live t in
-  match Array.length live with
-  | 0 -> Halt
-  | n -> Step live.(Rng.int rng n)
+  let n = Array.length (live t) in
+  if n = 0 then Halt else t.live_steps.(Rng.int rng n)
 
 let scripted script =
   let remaining = ref script in

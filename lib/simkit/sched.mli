@@ -161,14 +161,15 @@ val run : ?watchdog:watchdog -> t -> policy:policy -> max_steps:int -> int
 val round_robin : policy
 (** Fair policy: cycles over live processes — the [k]-th decision picks
     index [k mod n] of the [n] live pids, ascending.  Reads the cached
-    live set (see {!live_pids}), so a decision allocates only its
-    [Step]. *)
+    live set (see {!live_pids}) and returns the cached [Step] for that
+    index, so a decision allocates nothing. *)
 
 val random_policy : Rng.t -> policy
 (** Uniformly random live process each step — the (weak) randomized
     scheduler used by the termination experiments.  One [Rng.int rng n]
-    draw indexes the cached ascending live set (see {!live_pids}); a
-    decision allocates only its [Step]. *)
+    draw indexes the cached ascending live set (see {!live_pids}); the
+    [Step] for each live pid is cached beside it, so a decision allocates
+    nothing. *)
 
 val scripted : int list -> policy
 (** Follow a fixed pid script, skipping non-runnable entries; halts when

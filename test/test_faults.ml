@@ -348,6 +348,157 @@ let net_fault_tests =
         check_bool "oldest-first order kept" true (!got = expect));
   ]
 
+(* ----- the flight and mailbox rings against a list model --------------------- *)
+
+(* Every message gets a unique id, used as its payload and as its [src]
+   (any int is a valid sender), so [Net.describe]'s "src->dst" list is
+   the exact flight order and [deliver_from] picks one message by id.
+   The model keeps the flight as an oldest-first list and each mailbox as
+   a list; delivery, batching, dead-lettering and receives are replayed
+   on it by their documented rules.  Destinations include pid 300, above
+   every pid the net was created with, so the mailbox table grows. *)
+let ring_model seed =
+  let sched = Sched.create ~metrics:(Obs.Metrics.create ()) () in
+  let net : int Net.t = Net.create ~sched ~n:3 in
+  let rng = Core.Rng.create seed in
+  let dsts = [| 0; 1; 2; 7; 300 |] in
+  let flight = ref [] (* (id, dst), oldest first *) in
+  let boxes = Hashtbl.create 8 in
+  let box d = Option.value (Hashtbl.find_opt boxes d) ~default:[] in
+  let dead = ref [] in
+  let window = ref 0 and max_ = ref 1 in
+  let next_id = ref 1000 in
+  let deliver i =
+    let rec split k = function
+      | [] -> invalid_arg "model: index"
+      | x :: rest when k = 0 -> (x, rest)
+      | x :: rest ->
+          let y, rest' = split (k - 1) rest in
+          (y, x :: rest')
+    in
+    let ((_, dst) as it), rest = split i !flight in
+    (* coalesce: up to max-1 more to [dst] among the oldest [window] *)
+    let batch, rest =
+      if !window > 0 && !max_ > 1 then begin
+        let taken = ref 0 in
+        let b, r =
+          List.partition
+            (fun (k, (_, d)) ->
+              if k < !window && d = dst && !taken < !max_ - 1 then begin
+                incr taken;
+                true
+              end
+              else false)
+            (List.mapi (fun k x -> (k, x)) rest)
+        in
+        (List.map snd b, List.map snd r)
+      end
+      else ([], rest)
+    in
+    flight := rest;
+    List.iter
+      (fun (id, d) ->
+        if not (List.mem d !dead) then Hashtbl.replace boxes d (box d @ [ id ]))
+      (it :: batch)
+  in
+  let oldest p =
+    let rec go k = function
+      | [] -> None
+      | x :: rest -> if p x then Some k else go (k + 1) rest
+    in
+    go 0 !flight
+  in
+  let check what =
+    let expect =
+      let n = List.length !flight in
+      Printf.sprintf "net: %d in flight%s" n
+        (if n = 0 then ""
+         else
+           " ["
+           ^ String.concat ", "
+               (List.map (fun (id, d) -> Printf.sprintf "%d->%d" id d) !flight)
+           ^ "]")
+    in
+    let got = List.hd (String.split_on_char '\n' (Net.describe net)) in
+    Alcotest.(check string) (what ^ ": flight order") expect got;
+    check_int (what ^ ": in_flight") (List.length !flight) (Net.in_flight net);
+    Array.iter
+      (fun d ->
+        check_int
+          (Printf.sprintf "%s: mailbox %d" what d)
+          (List.length (box d)) (Net.mailbox_size net ~pid:d))
+      dsts
+  in
+  for step = 1 to 2000 do
+    let what = Printf.sprintf "seed %Ld step %d" seed step in
+    let n = List.length !flight in
+    (* keep well over 16 in flight most of the time: the ring grows and
+       its head wraps *)
+    (match Core.Rng.int rng 20 with
+    | k when k < 8 || n < 20 ->
+        let id = !next_id and dst = dsts.(Core.Rng.int rng (Array.length dsts)) in
+        incr next_id;
+        Net.send net ~src:id ~dst id;
+        flight := !flight @ [ (id, dst) ]
+    | 8 | 9 | 10 ->
+        (* a message from the front or the back half, by id *)
+        let half = Core.Rng.int rng 2 in
+        let i = (half * (n / 2)) + Core.Rng.int rng (n - (half * (n / 2))) in
+        let id, dst = List.nth !flight i in
+        check_bool (what ^ ": deliver_from") true
+          (Net.deliver_from net ~src:id ~dst);
+        deliver i
+    | 11 | 12 ->
+        let dst = dsts.(Core.Rng.int rng (Array.length dsts)) in
+        let i = oldest (fun (_, d) -> d = dst) in
+        check_bool (what ^ ": deliver_now") (i <> None) (Net.deliver_now net ~dst);
+        Option.iter deliver i
+    | 13 | 14 | 15 | 16 ->
+        let d = dsts.(Core.Rng.int rng (Array.length dsts)) in
+        let expect =
+          match box d with
+          | [] -> None
+          | id :: rest ->
+              Hashtbl.replace boxes d rest;
+              Some id
+        in
+        Alcotest.(check (option int)) (what ^ ": try_recv") expect
+          (Net.try_recv net ~pid:d)
+    | 17 ->
+        (* batching 8/8 on, or back off *)
+        if !window = 0 then begin
+          window := 8;
+          max_ := 8
+        end
+        else begin
+          window := 0;
+          max_ := 1
+        end;
+        Net.set_batching net ~window:!window ~max:!max_
+    | _ ->
+        let d = dsts.(Core.Rng.int rng (Array.length dsts)) in
+        if List.mem d !dead then begin
+          Net.revive net ~pid:d;
+          dead := List.filter (( <> ) d) !dead;
+          Hashtbl.replace boxes d []
+        end
+        else begin
+          Net.mark_dead net ~pid:d;
+          dead := d :: !dead;
+          Hashtbl.replace boxes d []
+        end);
+    check what
+  done;
+  (* a pid never addressed has an empty mailbox *)
+  Alcotest.(check (option int)) "fresh pid" None (Net.try_recv net ~pid:999);
+  check_int "fresh pid size" 0 (Net.mailbox_size net ~pid:999)
+
+let ring_tests =
+  [
+    tc "flight and mailbox rings match a list model" (fun () ->
+        List.iter ring_model [ 1L; 2L; 20261017L ]);
+  ]
+
 (* ----- the scheduler watchdog ------------------------------------------------ *)
 
 let watchdog_tests =
@@ -576,6 +727,7 @@ let suite =
   [
     ("simkit.faults", faults_tests);
     ("msgpass.net.faults", net_fault_tests);
+    ("msgpass.net.ring", ring_tests);
     ("simkit.watchdog", watchdog_tests);
     ("msgpass.faulty_runs", e2e_tests);
   ]

@@ -12,6 +12,78 @@ let check_int = Alcotest.(check int)
 
 (* ----- rng ------------------------------------------------------------------ *)
 
+(* Known answers recorded from the boxed-[int64] SplitMix64 before its
+   state moved into unboxed bytes: every seeded run in the repo (golden
+   digests, chaos corpus, fleet reports) is a function of this stream,
+   so any change to the representation must reproduce it exactly.  Seed
+   0's first output is the published SplitMix64 reference value. *)
+let rng_known_answers () =
+  let check_stream what expect r =
+    List.iteri
+      (fun i x ->
+        let got = Rng.next_int64 r in
+        if got <> x then
+          Alcotest.failf "%s: output %d is 0x%016LX, expected 0x%016LX" what i
+            got x)
+      expect
+  in
+  check_stream "seed 0"
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+      0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+      0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL; 0x3EE5789041C98AC3L;
+      0xF3B8488C368CB0A6L; 0x657EECDD3CB13D09L; 0xC2D326E0055BDEF6L;
+      0x8621A03FE0BBDB7BL; 0x8E1F7555983AA92FL; 0xB54E0F1600CC4D19L;
+      0x84BB3F97971D80ABL ]
+    (Rng.create 0L);
+  check_stream "seed 1"
+    [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL;
+      0x71C18690EE42C90BL; 0x71BB54D8D101B5B9L; 0xC34D0BFF90150280L;
+      0xE099EC6CD7363CA5L; 0x85E7BB0F12278575L; 0x491718DE357E3DA8L;
+      0xCB435C8E74616796L; 0x6775DC7701564F61L; 0x9AFCD44D14CF8BFEL;
+      0x7476CF8A4BAA5DC0L; 0x87B341D690D7A28AL; 0x6F9B6DAE6F4C57A8L;
+      0x2AC2CE17A5794A3BL ]
+    (Rng.create 1L);
+  check_stream "seed 0x7E57AB1E"
+    [ 0x92805DB45988B148L; 0xFA660CED0F72C084L; 0x58D607E1B7AC165FL;
+      0x4857E4C4610D2219L; 0x1779A1BD3B752827L; 0x5B691EE2B617422CL;
+      0xE7516DCEF8FF9583L; 0x154D334971195000L; 0xCBB940ED3C534684L;
+      0xBD8D8DF701A7AF37L; 0x96B8A4B9E078D3BDL; 0x1ED9E4BB8CA3801DL;
+      0x6B7824E48AA06AE1L; 0x5821D6B03694C06DL; 0x49A62DEB5EF199B8L;
+      0x4F29A543F199E232L ]
+    (Rng.create 0x7E57AB1EL);
+  (* the derived draws, in sequence on one stream *)
+  let r = Rng.create 0x7E57AB1EL in
+  Alcotest.(check (list int)) "int 7" [ 2; 1; 6; 2; 4; 4; 2; 4 ]
+    (List.init 8 (fun _ -> Rng.int r 7));
+  Alcotest.(check (list (float 0.))) "float"
+    [ 0x1.977281da78a68p-1; 0x1.7b1b1bee034f5p-1; 0x1.2d714973c0f1ap-1;
+      0x1.ed9e4bb8ca38p-4 ]
+    (List.init 4 (fun _ -> Rng.float r));
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; false; false; true; false; true; false ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  Alcotest.(check (list int)) "coin" [ 0; 0; 1; 1; 0; 1; 0; 1 ]
+    (List.init 8 (fun _ -> Rng.coin r));
+  (* split: the child's stream, then the parent's (advanced by one) *)
+  let r = Rng.create 1L in
+  let child = Rng.split r in
+  check_stream "split child"
+    [ 0x6EC85F1F8547BC0CL; 0x6CF63AFCC21A470AL; 0x8A27B94CFF7526AAL;
+      0xD13756F65520A1ECL ]
+    child;
+  check_stream "split parent"
+    [ 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL; 0x71C18690EE42C90BL;
+      0x71BB54D8D101B5B9L ]
+    r;
+  (* copy: the copy and the original continue with the same outputs *)
+  let c = Rng.copy r in
+  let rest =
+    [ 0xC34D0BFF90150280L; 0xE099EC6CD7363CA5L; 0x85E7BB0F12278575L;
+      0x491718DE357E3DA8L ]
+  in
+  check_stream "copy" rest c;
+  check_stream "original after copy" rest r
+
 let rng_tests =
   [
     tc "deterministic for a seed" (fun () ->
@@ -48,6 +120,7 @@ let rng_tests =
         ignore (Rng.next_int64 a);
         let b = Rng.copy a in
         check_bool "same" true (Rng.next_int64 a = Rng.next_int64 b));
+    tc "known answers: the SplitMix64 stream is pinned" rng_known_answers;
   ]
 
 (* ----- fibers ------------------------------------------------------------------ *)
