@@ -23,7 +23,9 @@ module Reader : sig
 end
 
 val value_of_json : Obs.Json.t -> (History.Value.t, string) result
-(** Inverse of {!Simkit.Trace.value_json}. *)
+(** Inverse of {!Simkit.Trace.value_json}, on a tree (checkpoint records).
+    The value records inside a {!parse_line} line get the same decision,
+    read off the lexer. *)
 
 val value_json : History.Value.t -> Obs.Json.t
 
@@ -42,8 +44,12 @@ type parsed =
       (** A known non-history record kind (lin/coin/valwrite/ts/readts/
           note) — counted and skipped, not quarantined. *)
 
-val parse_json : Obs.Json.t -> (parsed, string) result
 val parse_line : string -> (parsed, string) result
+(** Read one line's record straight off {!Obs.Json.Lexer}, with no
+    [Obs.Json.t] tree: each key's first occurrence wins, unknown keys and
+    nested values are skipped but validated, and a syntax error anywhere
+    on the line rejects it ([Error "bad JSON: ..."]).  Only the object
+    name, escaped strings and the result allocate. *)
 
 val event_json : time:int -> event -> Obs.Json.t
 (** Render back to the trace schema (exact inverse of {!parse_line} on

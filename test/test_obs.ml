@@ -160,6 +160,66 @@ let test_json_unicode_escape () =
   | Ok _ -> Alcotest.fail "expected a string"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* [of_string]'s edge cases, pinned: each input keeps its outcome and
+   value.  The number rule is the lexer's one rule (digits alone are an
+   int while they fit, any other run of [0-9.eE+-] a float), so a
+   leading zero is accepted and a bare exponent is not. *)
+let test_json_edge_cases () =
+  let module J = Obs.Json in
+  let ok input want =
+    match J.of_string input with
+    | Ok v when J.equal v want -> ()
+    | Ok v -> Alcotest.failf "%S parsed to %s" input (J.to_string v)
+    | Error e -> Alcotest.failf "%S rejected: %s" input e
+  in
+  let error ?reason input =
+    match J.of_string input with
+    | Ok v -> Alcotest.failf "%S accepted as %s" input (J.to_string v)
+    | Error e -> (
+        match reason with
+        | Some r when not (String.ends_with ~suffix:r e) ->
+            Alcotest.failf "%S: expected %S, got %S" input r e
+        | _ -> ())
+  in
+  ok "01" (J.Int 1);
+  ok "-01" (J.Int (-1));
+  ok "1." (J.Float 1.0);
+  List.iter error [ "1e"; "-"; "1-2"; "2e+"; ".5"; "[1,]"; "{\"a\":1,}" ];
+  error ~reason:"trailing garbage" "0x1F";
+  ok (string_of_int max_int) (J.Int max_int);
+  ok (string_of_int min_int) (J.Int min_int);
+  ok "4611686018427387904" (J.Float 4611686018427387904.);
+  ok "99999999999999999999" (J.Float 1e20);
+  ok "1.5e400" (J.Float Float.infinity);
+  (* RFC 8259 \u escapes: exactly four hex digits, surrogate pairs
+     combine into one 4-byte sequence, a lone surrogate stands alone *)
+  error ~reason:"bad \\u escape" "\"\\u0_41\"";
+  ok "\"\\ud83d\\ude00\"" (J.Str "\xf0\x9f\x98\x80");
+  ok "\"\\ud83d\"" (J.Str "\xed\xa0\xbd");
+  ok "\"\\ud83dx\"" (J.Str "\xed\xa0\xbdx");
+  ok "\"\\ud83d\\u0041\"" (J.Str "\xed\xa0\xbdA");
+  ok "{\"a\":1,\"a\":2}" (J.Obj [ ("a", J.Int 1); ("a", J.Int 2) ])
+
+(* [Lexer.string_index]: names that share a probe bucket (same length,
+   same first byte), the empty name, escaped tokens and misses. *)
+let test_lexer_string_index () =
+  let module L = Obs.Json.Lexer in
+  let t = L.table [| "ab"; "ac"; ""; "b" |] in
+  List.iter
+    (fun (text, want) ->
+      let lx = L.create text in
+      ignore (L.value lx);
+      Alcotest.(check int) text want (L.string_index lx t))
+    [
+      ("\"ab\"", 0);
+      ("\"ac\"", 1);
+      ("\"ad\"", -1);
+      ("\"\"", 2);
+      ("\"b\"", 3);
+      ("\"a\\u0063\"", 1);
+      ("\"abc\"", -1);
+    ]
+
 (* ----- Trace JSONL round-trip ---------------------------------------------- *)
 
 let test_trace_jsonl_roundtrip () =
@@ -190,6 +250,8 @@ let suite =
         tc "reservoir growth and cap" test_reservoir_growth_and_cap;
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
+        tc "json of_string edge cases" test_json_edge_cases;
+        tc "lexer string_index" test_lexer_string_index;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
       ] );
   ]
